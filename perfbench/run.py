@@ -157,7 +157,7 @@ def run_segment(
             instrumentation.install()
             tracer.pass_id = "setup"
         try:
-            with calib.Sampler(workload.sensitivity) as sampler:
+            with calib.Sampler(calib.SETUP_SENSITIVITY) as sampler:
                 setup_ok = setup(workload, order[(first - 1) % POOL], recorded)
         finally:
             if instrumentation is not None:

@@ -51,6 +51,21 @@ def test_fit_sensitivity_recovers_the_slope_within_groups():
     assert calib.fit_sensitivity([1.0, 2.0], [1.0, 1.0], [0, 0]) is None
 
 
+def test_fit_runs_recovers_pass_and_setup_slopes_across_runs():
+    def record(kernel: float, trace: int = 0) -> dict:
+        return {
+            "workload": "w", "trace": trace,
+            "raw_items_per_s": 10.0 / kernel**0.8,
+            "setup_host_s": [2.0 * kernel**0.9, 2.0 * kernel**0.9],
+            "pass_kernel_mean_s": [kernel, None, kernel],
+        }
+
+    runs = [record(k) for k in (1.0, 1.4, 2.2)] + [record(9.0, trace=1)]
+    passes, setup = calib.fit_runs(runs)["w"]
+    assert passes == pytest.approx(0.8)
+    assert setup == pytest.approx(0.9)
+
+
 def test_correction_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         calib.corrected(1.0, 0.0, [0.0, 0.001])
