@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.circuit.link import SRLRLink
+from repro.circuit.link import SRLRLink, transmit_batch
 from repro.circuit.prbs import PrbsGenerator
 from repro.circuit.srlr import SRLRDesignParams, robust_design
 from repro.tech.variation import VariationSample, monte_carlo_sample, nominal_sample
@@ -72,19 +72,22 @@ class SRLRBus:
     # --- word transport ---------------------------------------------------------------
 
     def transmit_words(self, words: list[int], bit_period: float) -> BusTransmission:
-        """Send ``words`` (n_bits-wide integers), one word per bit period."""
+        """Send ``words`` (n_bits-wide integers), one word per bit period.
+
+        The lanes go through the link kernel as one batch, one bit plane
+        per lane; lane energies are summed in lane order.
+        """
         mask = (1 << self.n_bits) - 1
         for w in words:
             if not 0 <= w <= mask:
                 raise ConfigurationError(
                     f"word {w:#x} does not fit in {self.n_bits} bits"
                 )
+        planes = [[(w >> j) & 1 for w in words] for j in range(self.n_bits)]
         energy = 0.0
         lane_errors = []
         received_planes = []
-        for j, lane in enumerate(self.lanes):
-            plane = [(w >> j) & 1 for w in words]
-            outcome = lane.transmit(plane, bit_period)
+        for outcome in transmit_batch(self.lanes, planes, bit_period):
             energy += outcome.energy
             lane_errors.append(outcome.n_errors)
             received_planes.append(outcome.received)

@@ -22,6 +22,7 @@ from repro.mc.engine import (
     immunity_ratio,
     run_monte_carlo,
     simulate_die,
+    simulate_dies,
 )
 from repro.mc.yield_analysis import (
     SwingSweep,
@@ -35,6 +36,7 @@ __all__ = [
     "ErrorStats",
     "ImmunityRatio",
     "simulate_die",
+    "simulate_dies",
     "burst_lengths",
     "collect_error_stats",
     "compare_error_structure",

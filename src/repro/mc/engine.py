@@ -10,9 +10,11 @@ pattern error-free) is the paper's "error probability" axis; "process
 variation immunity" is its reciprocal ratio between designs.
 
 Dies are independent, so the engine fans them across worker processes via
-:class:`repro.runtime.ParallelExecutor`.  Each die's randomness depends
-only on its own integer seed, so any ``n_jobs`` produces results
-*identical* to the serial reference (``n_jobs=1``), and an opt-in
+:class:`repro.runtime.ParallelExecutor`; each executor chunk of dies goes
+through the batched link kernel in one call (:func:`simulate_dies`).
+Each die's randomness depends only on its own integer seed, so any
+``n_jobs`` or chunking produces results *identical* to the serial
+reference (``n_jobs=1``), and an opt-in
 :class:`repro.runtime.ResultCache` can skip whole blocks whose inputs
 hash to an already-computed entry.
 """
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.circuit.link import SRLRLink
+from repro.circuit.link import SRLRLink, transmit_batch
 from repro.circuit.prbs import PrbsGenerator, worst_case_patterns
 from repro.circuit.srlr import SRLRDesignParams
 from repro.runtime import (
@@ -96,6 +98,41 @@ class McResult:
         return [r.seed for r in self.runs if not r.ok]
 
 
+def simulate_dies(
+    seeds: list[int],
+    design: SRLRDesignParams,
+    pattern: tuple[int, ...],
+    bit_period: float,
+    local_enabled: bool,
+) -> list[McRun]:
+    """Draw each die by its seed, transmit the pattern, record the outcomes.
+
+    Dies are built in seed order (each from its own seeded stream) and
+    then sent through the batched link kernel in one call, so every
+    :class:`McRun` depends only on its own seed — any partition of the
+    seeds into blocks gives the same runs.  Module-level (not a closure)
+    so a :class:`ParallelExecutor` can ship it to worker processes.
+    """
+    samples = []
+    links = []
+    for seed in seeds:
+        sample = monte_carlo_sample(design.tech, seed, local_enabled=local_enabled)
+        samples.append(sample)
+        links.append(SRLRLink(design, sample))
+    outcomes = transmit_batch(links, list(pattern), bit_period)
+    return [
+        McRun(
+            seed=seed,
+            ok=outcome.ok,
+            n_errors=outcome.n_errors,
+            stuck=outcome.stuck,
+            dvth_n=sample.global_corner.dvth_n,
+            dvth_p=sample.global_corner.dvth_p,
+        )
+        for seed, sample, outcome in zip(seeds, samples, outcomes)
+    ]
+
+
 def simulate_die(
     seed: int,
     design: SRLRDesignParams,
@@ -103,22 +140,8 @@ def simulate_die(
     bit_period: float,
     local_enabled: bool,
 ) -> McRun:
-    """Draw one die by its seed, transmit the pattern, record the outcome.
-
-    Module-level (not a closure) so a :class:`ParallelExecutor` can ship
-    it to worker processes; the result depends only on the arguments.
-    """
-    sample = monte_carlo_sample(design.tech, seed, local_enabled=local_enabled)
-    link = SRLRLink(design, sample)
-    outcome = link.transmit(list(pattern), bit_period)
-    return McRun(
-        seed=seed,
-        ok=outcome.ok,
-        n_errors=outcome.n_errors,
-        stuck=outcome.stuck,
-        dvth_n=sample.global_corner.dvth_n,
-        dvth_p=sample.global_corner.dvth_p,
-    )
+    """One die of :func:`simulate_dies`."""
+    return simulate_dies([seed], design, pattern, bit_period, local_enabled)[0]
 
 
 def run_payload(run: McRun) -> dict:
@@ -245,8 +268,11 @@ def _run_campaign(
 
     computed: dict[int, McRun | TaskFailure] = {}
     if pending:
+        # Each executor chunk is one batch through the link kernel; under
+        # a ResilienceConfig the executor runs one die per task, so
+        # timeouts, retries and TaskFailure records stay per die.
         worker = partial(
-            simulate_die,
+            simulate_dies,
             design=design,
             pattern=tuple(pattern),
             bit_period=bit_period,
@@ -266,7 +292,9 @@ def _run_campaign(
                     if not isinstance(value, TaskFailure):
                         store.append(str(pending[j][0]), run_payload(value))
 
-        values = executor.map(worker, [seed for _, seed in pending], on_result=on_result)
+        values = executor.map_chunks(
+            worker, [seed for _, seed in pending], on_result=on_result
+        )
         for (i, _), value in zip(pending, values):
             computed[i] = value
 
@@ -369,4 +397,5 @@ __all__ = [
     "run_monte_carlo",
     "run_payload",
     "simulate_die",
+    "simulate_dies",
 ]

@@ -29,7 +29,11 @@ processes.  The contract that everything else in the repo leans on:
 
 Chunking amortizes pickling: items are split into ``chunk_size`` blocks
 (auto-sized to ~4 chunks per worker) and each block round-trips to a
-worker as one task.  An optional ``on_result`` callback receives each
+worker as one task.  :meth:`ParallelExecutor.map_chunks` hands each
+block to a chunk-level function whole (the Monte Carlo engine runs one
+batched link-kernel call per chunk); ``map(fn)`` is the same machinery
+with the chunk function ``[fn(x) for x in chunk]``.  An optional
+``on_result`` callback receives each
 completed chunk's ``(global indices, results)`` as it lands — the hook
 the crash-safe checkpoint stores (:mod:`repro.runtime.checkpoint`) use
 to persist progress incrementally.
@@ -46,6 +50,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import (
@@ -86,6 +91,11 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 def _run_chunk(fn: Callable[[Any], Any], chunk: list[Any]) -> list[Any]:
     """Worker-side body: evaluate one chunk, preserving item order."""
     return [fn(item) for item in chunk]
+
+
+def _run_one(chunk_fn: Callable[[list[Any]], list[Any]], item: Any) -> Any:
+    """One item through a chunk-level function, as a one-item chunk."""
+    return chunk_fn([item])[0]
 
 
 def _is_picklable(obj: Any) -> bool:
@@ -148,22 +158,54 @@ class ParallelExecutor:
         task exhausted its retry budget hold a
         :class:`~repro.runtime.TaskFailure` instead of a value.
         """
+        return self._map(fn, partial(_run_chunk, fn), fn, items, on_result)
+
+    def map_chunks(
+        self,
+        chunk_fn: Callable[[list[Any]], list[Any]],
+        items: Sequence[Any],
+        on_result: ResultHook | None = None,
+    ) -> list[Any]:
+        """:meth:`map` for a function of a whole chunk.
+
+        ``chunk_fn(chunk)`` returns one result per item of ``chunk``, in
+        order, and must give each item the result it would get alone —
+        then results do not depend on chunking, as for :meth:`map`.  It
+        lets a chunk's items share work (one batched kernel call per
+        chunk).  Under :attr:`resilience`, every item runs as its own
+        one-item chunk, so timeouts, retries and
+        :class:`~repro.runtime.TaskFailure` records stay per item.
+        """
+        return self._map(
+            partial(_run_one, chunk_fn), chunk_fn, chunk_fn, items, on_result
+        )
+
+    def _map(
+        self,
+        fn: Callable[[Any], Any],
+        chunk_fn: Callable[[list[Any]], list[Any]],
+        named: Callable[..., Any],
+        items: Sequence[Any],
+        on_result: ResultHook | None,
+    ) -> list[Any]:
+        """The one backend dispatch: the resilient paths run ``fn`` per
+        item, the legacy paths run ``chunk_fn`` per chunk."""
         items = list(items)
         n_jobs = resolve_n_jobs(self.n_jobs)
         use_processes = n_jobs > 1 and len(items) > 1
         fallback_reason = None
-        if use_processes and not (_is_picklable(fn) and _is_picklable(items)):
+        if use_processes and not (_is_picklable(chunk_fn) and _is_picklable(items)):
             # A closure or local object cannot cross the process
             # boundary; degrade to the serial reference path — but say so
             # loudly rather than quietly losing the parallelism.
             use_processes = False
-            name = getattr(fn, "__qualname__", None) or repr(fn)
+            name = getattr(named, "__qualname__", None) or repr(named)
             fallback_reason = (
                 f"evaluator {name!r} (or its items) cannot be pickled across"
                 f" a process boundary; ran serially despite n_jobs={n_jobs}"
             )
             self.serial_fallbacks += 1
-            warnings.warn(fallback_reason, SerialFallbackWarning, stacklevel=2)
+            warnings.warn(fallback_reason, SerialFallbackWarning, stacklevel=3)
 
         metrics = RunMetrics(
             total_tasks=len(items),
@@ -180,9 +222,9 @@ class ParallelExecutor:
             else:
                 results = self._map_serial_resilient(fn, items, metrics, on_result)
         elif not use_processes:
-            results = self._map_serial(fn, items, metrics, on_result)
+            results = self._map_serial(chunk_fn, items, metrics, on_result)
         else:
-            results = self._map_processes(fn, items, metrics, n_jobs, on_result)
+            results = self._map_processes(chunk_fn, items, metrics, n_jobs, on_result)
         metrics.finish()
         return results
 
@@ -202,7 +244,7 @@ class ParallelExecutor:
 
     def _map_serial(
         self,
-        fn: Callable[[Any], Any],
+        chunk_fn: Callable[[list[Any]], list[Any]],
         items: list[Any],
         metrics: RunMetrics,
         on_result: ResultHook | None,
@@ -212,7 +254,7 @@ class ParallelExecutor:
         start = 0
         for chunk in chunks:
             t0 = time.perf_counter()
-            block = [fn(item) for item in chunk]
+            block = chunk_fn(chunk)
             results.extend(block)
             if on_result is not None:
                 on_result(list(range(start, start + len(chunk))), block)
@@ -224,7 +266,7 @@ class ParallelExecutor:
 
     def _map_processes(
         self,
-        fn: Callable[[Any], Any],
+        chunk_fn: Callable[[list[Any]], list[Any]],
         items: list[Any],
         metrics: RunMetrics,
         n_jobs: int,
@@ -240,7 +282,7 @@ class ParallelExecutor:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
             submitted = {}
             for idx, chunk in enumerate(chunks):
-                future = pool.submit(_run_chunk, fn, chunk)
+                future = pool.submit(chunk_fn, chunk)
                 submitted[future] = (idx, len(chunk), time.perf_counter())
             pending = set(submitted)
             while pending:

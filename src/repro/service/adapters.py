@@ -57,7 +57,7 @@ from repro.mc.engine import (
     default_stress_pattern,
     run_from_payload,
     run_payload,
-    simulate_die,
+    simulate_dies,
 )
 from repro.runtime.seeds import make_seeds
 
@@ -171,16 +171,13 @@ class MonteCarloAdapter(CampaignAdapter):
     def run_task(self, config: dict, spec: dict) -> dict:
         design = self._design(config)
         pattern = tuple(config["pattern"])
-        runs = [
-            simulate_die(
-                int(seed),
-                design,
-                pattern,
-                config["bit_period"],
-                config["local_enabled"],
-            )
-            for seed in spec["seeds"]
-        ]
+        runs = simulate_dies(
+            [int(seed) for seed in spec["seeds"]],
+            design,
+            pattern,
+            config["bit_period"],
+            config["local_enabled"],
+        )
         return {"runs": [run_payload(r) for r in runs]}
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> McResult:

@@ -172,6 +172,9 @@ class AttenuationTable:
             id(tpeaks): [float(x) for x in tpeaks],
             id(charges): [float(x) for x in charges],
         }
+        #: ``[N_GRID, 4]`` (peak, width_out, t_peak, charge_in) rows for
+        #: the batched link kernel's one-gather interpolation.
+        self.rows = np.stack([peaks, wouts, tpeaks, charges], axis=1)
         if r_decay is None:
             self.decay_tau = transfer.solver.slowest_time_constant
         else:

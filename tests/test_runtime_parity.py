@@ -53,6 +53,28 @@ def test_executor_preserves_order_any_jobs_any_chunking():
             assert ex.map(_square, items) == expected
 
 
+def _square_chunk(chunk):
+    return [_square(x) for x in chunk]
+
+
+def test_map_chunks_hands_each_chunk_to_the_function_whole():
+    items = list(range(23))
+    for n_jobs in N_JOBS_GRID:
+        for chunk_size in (None, 1, 3, 50):
+            ex = ParallelExecutor(n_jobs=n_jobs, chunk_size=chunk_size)
+            seen = []
+            out = ex.map_chunks(
+                _square_chunk, items, on_result=lambda idx, vals: seen.append(idx)
+            )
+            assert out == [_square(x) for x in items]
+            assert sorted(i for idx in seen for i in idx) == items
+    calls = []
+    ParallelExecutor(n_jobs=1, chunk_size=10).map_chunks(
+        lambda chunk: calls.append(list(chunk)) or chunk, items
+    )
+    assert calls == [items[:10], items[10:20], items[20:]]
+
+
 def test_executor_serial_path_is_plain_loop():
     ex = ParallelExecutor(n_jobs=1)
     assert ex.map(_square, [3, 1, 2]) == [9, 1, 4]

@@ -163,6 +163,25 @@ def test_exhausted_task_quarantined_with_structured_record(n_jobs):
     assert executor.last_metrics.failed_tasks == 1
 
 
+def _boom_chunk(chunk: list[int]) -> list[int]:
+    return [_boom(x) for x in chunk]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_map_chunks_keeps_failures_per_item(n_jobs):
+    # Under resilience each item runs as a one-item chunk: the poison
+    # item is quarantined alone, its chunk neighbours still complete.
+    executor = ParallelExecutor(
+        n_jobs=n_jobs, chunk_size=4, resilience=_fast_config()
+    )
+    out = executor.map_chunks(_boom_chunk, ITEMS)
+    assert isinstance(out[POISON], TaskFailure)
+    assert out[POISON].index == POISON and out[POISON].attempts == 2
+    assert [v for i, v in enumerate(out) if i != POISON] == [
+        x * 2 for x in ITEMS if x != POISON
+    ]
+
+
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_soft_timeout_cancels_hung_task(n_jobs):
     config = _fast_config(timeout=0.25)
