@@ -146,7 +146,7 @@ TOPOLOGY_BENCH = [
     ("cmesh", ("cmesh", 2, {"concentration": 4}), "fast"),
     ("torus", ("torus", 4, {}), "fast"),
     ("chiplet", ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2}),
-     "reference"),
+     "fast"),
 ]
 
 

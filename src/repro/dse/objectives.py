@@ -249,8 +249,7 @@ class NocTopologyEvaluator:
     cores per router, ``k x k`` torus, and a 2x2-chiplet NoC/NoI) — and
     ``injection_rate`` in packets per endpoint per cycle.  Each
     candidate runs a short uniform-random unicast simulation on the
-    exact cycle-level engines (the SoA fast engine wherever the
-    topology supports it), so the trade-off surface is measured, not
+    exact, cycle-level fast engine, so the trade-off surface is measured, not
     modeled.  A network driven past saturation that livelocks the drain
     phase is recorded as an infeasible candidate rather than crashing
     the search; ``wire_energy_j`` rides along as a non-objective metric
@@ -306,8 +305,7 @@ class NocTopologyEvaluator:
             size_flits=self.size_flits,
             seed=seed,
         )
-        engine = "fast" if topology.supports_fast_engine else "reference"
-        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine=engine)
+        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine="fast")
         try:
             sim.run(warmup=self.warmup, measure=self.measure)
         except LivelockError as exc:

@@ -309,10 +309,9 @@ class FaultCampaignConfig:
     def effective_engine(self, warn: bool = True) -> str:
         """The engine a point will actually run on.
 
-        The fast engine is unicast-only and does not cover every
-        topology class; a multicast mix or an unsupported topology
-        falls back to the reference oracle.  The fallback is *loud* —
-        an :class:`EngineFallbackWarning` naming the cause and the
+        The fast engine is unicast-only; a multicast mix falls back to
+        the reference oracle.  The fallback is *loud* — an
+        :class:`EngineFallbackWarning` naming the cause and the
         campaign's config hash — so a surprisingly slow campaign is
         attributable, never a bare silent reference-engine run.
         """
@@ -324,19 +323,6 @@ class FaultCampaignConfig:
                     f"does not support multicast traffic "
                     f"(workload={self.workload!r} injects a multicast "
                     f"fraction of {multicast:g}); "
-                    f"falling back to the reference engine",
-                    EngineFallbackWarning,
-                    stacklevel=3,
-                )
-            return "reference"
-        if (
-            self.engine == "fast"
-            and not self.build_topology().supports_fast_engine
-        ):
-            if warn:
-                warnings.warn(
-                    f"campaign {self.content_hash()[:16]}: engine='fast' "
-                    f"does not support the {self.topology} topology; "
                     f"falling back to the reference engine",
                     EngineFallbackWarning,
                     stacklevel=3,

@@ -7,9 +7,14 @@ cycle loop the dominant wall-clock cost of every traffic-driven workload
 (fault campaigns, DSE objectives, the energy-density recast).  This
 module re-implements the *same machine* on a struct-of-arrays layout:
 
-* all input-VC FIFOs of the whole mesh live in preallocated flat ring
-  buffers indexed by ``slot = (router * 5 + port) * n_vcs + vc``
-  (``_ring_ready``, ``_ring_flags``, ``_ring_dest``, ``_ring_flit``);
+* all input-VC FIFOs of the whole network live in preallocated flat ring
+  buffers indexed by ``slot = (router * P + port) * n_vcs + vc``
+  (``_ring_ready``, ``_ring_flags``, ``_ring_dest``, ``_ring_flit``),
+  where the port stride ``P`` is 5 on mesh, cmesh and torus and 6 on
+  the chiplet NoC/NoI (``PORT_UP``); ascending slot order is (router,
+  port, vc) order at any stride, and the reference arbiters take their
+  pointers modulo the requester count, never the radix, so the stride
+  leaves the mesh layout and every arbitration order unchanged;
 * credit counters and downstream-VC ownership are flat arrays indexed
   receiver-side (the credit for input buffer ``s`` *is* ``_credits[s]``,
   the same counter the reference keeps on the upstream ``OutputPort``);
@@ -57,7 +62,7 @@ fault channels) is sequenced exactly as the reference sequences it; the
 differential suite ``tests/test_noc_fastsim_parity.py`` locks the claim
 down, and ``docs/NOC_FASTSIM.md`` documents the phase mapping.
 
-Scope: unicast traffic only (any pattern, any mesh size, O1TURN, bypass,
+Scope: unicast traffic only (any topology, pattern and size, O1TURN, bypass,
 multi-flit worms, every fault model and protection protocol).  Multicast
 forks keep a flit resident across several switch grants, which the flat
 front-state cache does not model; construction rejects multicast traffic
@@ -72,9 +77,8 @@ from repro.noc.packet import Flit, single_flit
 from repro.noc.routing import xy_route, yx_route
 from repro.noc.stats import DeliveryRecord
 from repro.noc.simulator import NocSimulator
-from repro.noc.topology import Port
+from repro.noc.topology import PORT_UP, Port
 
-_P = 5  # ports per router (LOCAL + 4 compass directions)
 _LOCAL = int(Port.LOCAL)
 
 #: Flag bits of ``_ring_flags`` (and the ``fl`` words threaded through
@@ -83,10 +87,14 @@ _F_HEAD = 1
 _F_TAIL = 2
 _F_YX = 4
 
+#: Port objects by integer port: the five ``Port`` members, then the
+#: chiplet uplink, which the topology (and hence the reference
+#: ``Crossbar.connect``) carries as the plain int ``PORT_UP``.
+_PORT_KEYS = (*Port, PORT_UP)
 #: Crosspoint keys by integer port pair (avoids enum construction and
-#: tuple allocation per flit; the keys are the same Port objects the
+#: tuple allocation per flit; the keys are the same port objects the
 #: reference records).
-_PORT_PAIRS = tuple(tuple((a, b) for b in Port) for a in Port)
+_PORT_PAIRS = tuple(tuple((a, b) for b in _PORT_KEYS) for a in _PORT_KEYS)
 
 
 class FastNocSimulator(NocSimulator):
@@ -128,21 +136,6 @@ class FastNocSimulator(NocSimulator):
             pattern=pattern,
             seed=seed,
         )
-        if not self.topology.supports_fast_engine:
-            raise ConfigurationError(
-                f"engine='fast' does not support the {self.topology.kind} "
-                "topology; use the reference engine (NocSimulator falls "
-                "back automatically with an EngineFallbackWarning)"
-            )
-        ports_seen = {
-            tuple(int(p) for p in self.topology.node_ports(node))
-            for node in self.topology.nodes()
-        }
-        if ports_seen != {(0, 1, 2, 3, 4)}:
-            raise ConfigurationError(
-                f"engine='fast' requires a uniform 5-port radix; the "
-                f"{self.topology.kind} topology has port sets {ports_seen}"
-            )
         if getattr(self.traffic, "multicast_fraction", 0.0):
             raise ConfigurationError(
                 "engine='fast' supports unicast traffic only; use the "
@@ -167,7 +160,15 @@ class FastNocSimulator(NocSimulator):
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
         R = len(self._nodes)
         self._R = R
-        N = R * _P * V
+        #: Port stride: 5 on mesh, cmesh and torus, 6 with a chiplet
+        #: uplink.  Routers with fewer ports leave the extra slots
+        #: unused (never owned, credits full).
+        self._P = P = 1 + max(
+            int(p)
+            for node in self._nodes
+            for p in self.topology.node_ports(node)
+        )
+        N = R * P * V
 
         # Input-VC ring buffers, flat over (router, port, vc, slot).
         self._ring_ready = [0] * (N * C)
@@ -192,8 +193,8 @@ class FastNocSimulator(NocSimulator):
         #: Total buffered flits (= sum of ``_count``), for drain checks.
         self._buffered_total = 0
         #: Slot -> (router, input port) decode tables for the scan.
-        self._slot_router = [s // (_P * V) for s in range(N)]
-        self._slot_port = [s // V % _P for s in range(N)]
+        self._slot_router = [s // (P * V) for s in range(N)]
+        self._slot_port = [s // V % P for s in range(N)]
 
         # Flow control, receiver-indexed: _credits[s] is the upstream
         # credit counter for input buffer s; _owned[s] is the upstream
@@ -211,14 +212,14 @@ class FastNocSimulator(NocSimulator):
         self._fr_vc = [-1] * N
 
         # Round-robin arbiter pointers, per (router, port).
-        self._va_ptr = [[0] * _P for _ in range(R)]
-        self._sa_in_ptr = [[0] * _P for _ in range(R)]
-        self._sa_out_ptr = [[0] * _P for _ in range(R)]
+        self._va_ptr = [[0] * P for _ in range(R)]
+        self._sa_in_ptr = [[0] * P for _ in range(R)]
+        self._sa_out_ptr = [[0] * P for _ in range(R)]
 
         # Topology wiring: output (r, port) -> downstream input slot
         # base and link index; link -> destination input slot base.
-        self._out_target = [[-1] * _P for _ in range(R)]
-        self._link_of = [[-1] * _P for _ in range(R)]
+        self._out_target = [[-1] * P for _ in range(R)]
+        self._link_of = [[-1] * P for _ in range(R)]
         self._link_dst_base = [0] * len(self.links)
         # self.links was built from directed_links() in the same order,
         # so zipping recovers each link's output port without assuming a
@@ -230,7 +231,7 @@ class FastNocSimulator(NocSimulator):
         ):
             r = self._node_index[link.src]
             dst_r = self._node_index[link.dst.node]
-            dst_base = (dst_r * _P + int(link.dst.port)) * V
+            dst_base = (dst_r * P + int(link.dst.port)) * V
             self._out_target[r][int(out_port)] = dst_base
             self._link_of[r][int(out_port)] = li
             self._link_dst_base[li] = dst_base
@@ -388,7 +389,8 @@ class FastNocSimulator(NocSimulator):
         stats = self.stats
         V = self._V
         C = self._C
-        PV = _P * V
+        P = self._P
+        PV = P * V
         bypass = self._bypass
         plat = self._plat
         credits = self._credits
@@ -585,7 +587,7 @@ class FastNocSimulator(NocSimulator):
             if wh_port[s] == out_p and wh_vc[s] != -1:
                 continue  # wormhole continuation (head edge case)
             if req_rows is None:
-                req_rows = [None, None, None, None, None]
+                req_rows = [None] * P
                 req_ports = []
                 va_work.append((r, req_rows, req_ports))
             row = req_rows[out_p]
@@ -704,7 +706,7 @@ class FastNocSimulator(NocSimulator):
                 ob = targets[out_p]
                 if ob < 0:
                     raise ProtocolError(
-                        f"route to unconnected port {Port(out_p)} at "
+                        f"route to unconnected port {out_p} at "
                         f"{self._nodes[r]}"
                     )
                 n_req = len(requesters)
@@ -804,7 +806,7 @@ class FastNocSimulator(NocSimulator):
             if len(nominations) == 1:
                 port_rows = ((nominations[0][4], nominations),)
             else:
-                out_rows = [None, None, None, None, None]
+                out_rows = [None] * P
                 for nom in nominations:
                     op = nom[4]
                     row = out_rows[op]
@@ -814,7 +816,7 @@ class FastNocSimulator(NocSimulator):
                         row.append(nom)
                 port_rows = [  # ascending port order
                     (op, out_rows[op])
-                    for op in (0, 1, 2, 3, 4)
+                    for op in range(P)
                     if out_rows[op] is not None
                 ]
             sa_out_ptr = sa_out_all[r]
@@ -892,7 +894,7 @@ class FastNocSimulator(NocSimulator):
                 # u-turn guard matches Crossbar.connect).
                 if in_p == out_p:
                     raise ProtocolError(
-                        f"u-turn through crossbar at port {Port(out_p)}"
+                        f"u-turn through crossbar at port {out_p}"
                     )
                 xbar = xbar_list[r]
                 key = _PORT_PAIRS[in_p][out_p]

@@ -9,7 +9,6 @@ throughput only count packets injected during the measurement window.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -128,16 +127,6 @@ class NocSimulator:
                 f"engine must be one of {ENGINES}, got {engine!r}"
             )
         if engine == "fast" and cls is NocSimulator:
-            topology = args[0] if args else kwargs.get("k")
-            if isinstance(topology, Topology) and not topology.supports_fast_engine:
-                warnings.warn(
-                    f"engine='fast' does not support the {topology.kind} "
-                    "topology yet; falling back to the reference engine "
-                    "(identical results, slower)",
-                    EngineFallbackWarning,
-                    stacklevel=2,
-                )
-                return super().__new__(cls)
             # Deferred import: fastsim subclasses this class.
             from repro.noc.fastsim import FastNocSimulator
 

@@ -99,10 +99,6 @@ class Topology:
     #: Table topologies have a single routing class, so O1TURN (which
     #: needs the disjoint XY/YX pair) is a configuration error on them.
     table_routed = False
-    #: True when the batch engine (:mod:`repro.noc.fastsim`) supports
-    #: this topology; False falls back to the reference engine with an
-    #: :class:`~repro.noc.simulator.EngineFallbackWarning`.
-    supports_fast_engine = True
     #: True when the endpoints are exactly the k x k router grid, which
     #: lets the traffic generator use its batched mesh hot path.
     grid_endpoints = True
@@ -530,7 +526,6 @@ class ChipletNoc(Topology):
 
     kind = "chiplet"
     table_routed = True
-    supports_fast_engine = False
     grid_endpoints = False
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, LivelockError
+from repro.errors import ConfigurationError, LivelockError, ProtocolError
 from repro.fault import (
     CompositeFault,
     DeadLinks,
@@ -31,10 +31,12 @@ from repro.noc import (
     MeshTopology,
     NocConfig,
     NocSimulator,
+    Packet,
     SyntheticTraffic,
     build_topology,
     record_trace,
 )
+from repro.noc.topology import PORT_UP
 from repro.workload import build_traffic
 
 SEED = 7
@@ -75,6 +77,15 @@ def _fingerprint(sim):
         "per_link_payload": [
             (link.payload_transitions, link.coupling_events, link.last_word)
             for link in sim.links
+        ],
+        # Crosspoint EN counts per router: the 6-port chiplet routers'
+        # (port, PORT_UP) keys are compared here, not just totals.
+        "crosspoints": [
+            sorted(
+                ((int(a), int(b)), n)
+                for (a, b), n in sim.routers[node].crossbar.crosspoint_counts.items()
+            )
+            for node in sorted(sim.routers)
         ],
     }
 
@@ -158,11 +169,13 @@ def test_traffic_parity(k, rate, pattern, size_flits, config_kwargs):
 
 # --- topology-family matrix ------------------------------------------------------------
 #
-# Every fast-engine-supported topology class runs the same differential
-# check: the SoA engine must match the per-flit oracle bitwise on torus
-# wrap routes and concentrated-mesh endpoint traffic, exactly as on the
-# flat mesh.  (The chiplet NoC is reference-only; its fallback contract
-# is covered in tests/test_noc_topology_family.py.)
+# Every topology class runs the same differential check: the SoA engine
+# must match the per-flit oracle bitwise on torus wrap routes,
+# concentrated-mesh endpoint traffic and the chiplet NoC/NoI hierarchy
+# (6-port gateway/interface routers, port stride 6), exactly as on the
+# flat mesh.
+
+_CHIPLET_2X2 = {"chiplets_x": 2, "chiplets_y": 2}
 
 TOPOLOGY_CASES = [
     ("torus-k4-uniform-low", ("torus", 4, {}), 0.05, "uniform", 1, {}),
@@ -181,6 +194,18 @@ TOPOLOGY_CASES = [
      0.08, "uniform", 1, {}),
     ("cmesh-k2c4-worm2", ("cmesh", 2, {"concentration": 4}),
      0.05, "uniform", 2, {}),
+    ("chiplet-2x2k2-uniform", ("chiplet", 2, _CHIPLET_2X2),
+     0.08, "uniform", 1, {}),
+    ("chiplet-3x1k3-uniform", ("chiplet", 3, {"chiplets_x": 3}),
+     0.06, "uniform", 1, {}),
+    ("chiplet-2x2k2-noi3", ("chiplet", 2, {**_CHIPLET_2X2, "noi_scale": 3.0}),
+     0.08, "uniform", 1, {}),
+    ("chiplet-2x2k2-worm2", ("chiplet", 2, _CHIPLET_2X2),
+     0.06, "uniform", 2, {}),
+    ("chiplet-2x2k2-vcs2", ("chiplet", 2, _CHIPLET_2X2),
+     0.08, "uniform", 1, {"n_vcs": 2}),
+    ("chiplet-2x2k2-high", ("chiplet", 2, _CHIPLET_2X2),
+     0.15, "uniform", 1, {}),
 ]
 
 
@@ -217,6 +242,14 @@ TOPOLOGY_FAULT_CASES = [
         ("cmesh", 2, {"concentration": 4}),
         UniformBer(ber=1e-3),
         "crc",
+    ),
+    ("chiplet-ber-crc", ("chiplet", 2, _CHIPLET_2X2), UniformBer(ber=1e-3), "crc"),
+    ("chiplet-ber-e2e", ("chiplet", 2, _CHIPLET_2X2), UniformBer(ber=1e-3), "e2e"),
+    (
+        "chiplet-dead-reroute",
+        ("chiplet", 2, _CHIPLET_2X2),
+        DeadLinks(n_random=2, fail_cycle=50, mode="garbage"),
+        "reroute",
     ),
 ]
 
@@ -413,6 +446,24 @@ def test_engine_dispatch_returns_fast_subclass():
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         NocSimulator(4, engine="warp")
+
+
+def test_fast_engine_route_to_unconnected_uplink_raises_protocol_error():
+    # A core router without an uplink still owns a (never-connected)
+    # stride-6 slot for PORT_UP; a route pointing there must surface as
+    # the engine's ProtocolError naming port 5.
+    topology = build_topology("chiplet", 2, **_CHIPLET_2X2)
+    assert PORT_UP not in topology.node_ports((1, 1))
+    sim = _build("fast", topology, 0.0, "uniform")
+    r = sim._node_index[(1, 1)]
+    sim._route_xy[r][sim._node_index[(0, 0)]] = PORT_UP
+    sim.nics[(1, 1)].offer(
+        Packet(src=(1, 1), dests=frozenset({(0, 0)}), size_flits=1,
+               inject_cycle=0)
+    )
+    with pytest.raises(ProtocolError, match="unconnected port 5 at"):
+        for _ in range(10):
+            sim.step()
 
 
 def test_fast_engine_rejects_multicast_traffic():

@@ -399,10 +399,12 @@ def test_fast_engine_conservation_invariants_every_cycle(params):
 
 # --- topology-family conservation fuzz -------------------------------------------------
 #
-# The same invariants, fuzzed across every fast-engine-supported
-# topology class (mesh, concentrated mesh, torus).  Table-routed
-# topologies pin routing to "xy" (the table override); patterns stay in
-# the subset every endpoint grid supports.
+# The same invariants, fuzzed across every topology class (mesh,
+# concentrated mesh, torus, chiplet NoC/NoI).  The chiplet hierarchy
+# runs at port stride 6, so the flat-array checks also cover the unused
+# PORT_UP slots of its 5-port core routers.  Table-routed topologies pin
+# routing to "xy" (the table override); patterns stay in the subset
+# every endpoint grid supports.
 
 family_configs = st.fixed_dictionaries(
     {
@@ -415,6 +417,9 @@ family_configs = st.fixed_dictionaries(
                 ("cmesh", 2, {"concentration": 2}),
                 ("cmesh", 2, {"concentration": 4}),
                 ("cmesh", 3, {"concentration": 2}),
+                ("chiplet", 2, {"chiplets_x": 2, "chiplets_y": 2}),
+                ("chiplet", 2, {"chiplets_x": 3, "chiplets_y": 1}),
+                ("chiplet", 3, {"chiplets_x": 2, "chiplets_y": 1}),
             ]
         ),
         "n_vcs": st.sampled_from([2, 4]),

@@ -12,8 +12,9 @@ Covers the edge cases the flat-mesh suite never sees:
 * deadlock freedom — the routing channel-dependence graph of every
   topology class (and of up*/down* tables over degraded link sets) is
   acyclic;
-* the factory's named validation errors, the fast-engine fallback
-  warning, and flat-mesh bit-identity through the new Topology path.
+* the factory's named validation errors, silent fast-engine dispatch
+  on every topology class, and flat-mesh bit-identity through the new
+  Topology path.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.noc import (
     ChipletNoc,
     ConcentratedMesh,
     EngineFallbackWarning,
+    FastNocSimulator,
     MeshTopology,
     NocSimulator,
     SyntheticTraffic,
@@ -298,22 +300,20 @@ def test_factory_rejects_bad_chiplet_shape():
 # --- engine contracts -------------------------------------------------------------------
 
 
-def test_chiplet_fast_engine_falls_back_with_warning():
-    topo = ChipletNoc(chiplets_x=2, chiplets_y=1, chiplet_k=2)
-    with pytest.warns(EngineFallbackWarning, match="chiplet"):
-        sim = NocSimulator(topo, injection_rate=0.05, seed=SEED, engine="fast")
-    assert sim.engine == "reference"
-    assert type(sim) is NocSimulator
-
-
 def test_fast_engine_supported_topologies_dispatch_silently():
-    for topo in (MeshTopology(3), TorusTopology(3), ConcentratedMesh(2, c=2)):
+    for topo in (
+        MeshTopology(3),
+        TorusTopology(3),
+        ConcentratedMesh(2, c=2),
+        ChipletNoc(chiplets_x=2, chiplets_y=1, chiplet_k=2),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
             sim = NocSimulator(
                 topo, injection_rate=0.05, seed=SEED, engine="fast"
             )
         assert sim.engine == "fast"
+        assert type(sim) is FastNocSimulator
 
 
 def test_traffic_topology_mismatch_rejected():
