@@ -6,19 +6,17 @@ low-swing datapath versus a conventional full-swing datapath.
 This module also benchmarks the two cycle-loop engines against each
 other (reference object-graph loop vs the struct-of-arrays batch engine
 in :mod:`repro.noc.fastsim`) on the standard 8x8 uniform-random
-workload, appending a perf-trajectory record to
-``benchmarks/output/BENCH_noc_traffic.json`` so engine regressions show
-up across commits.  Set ``REPRO_BENCH_CHECK=1`` (the CI smoke job does)
-to fail the run when the measured speedup falls below 5x.
+workload and writes the table to ``BENCH_engine_speedup.txt``.  Set
+``REPRO_BENCH_CHECK=1`` (the CI smoke job does) to fail the run when the
+measured speedup falls below 5x.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from conftest import FULL, NOC_MEASURE, OUTPUT_DIR
+from conftest import FULL, NOC_MEASURE
 
 from repro.analysis import e14_noc_traffic
 from repro.noc import NocSimulator, SyntheticTraffic, build_topology
@@ -103,18 +101,6 @@ def test_bench_engine_speedup(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    record["full"] = FULL
-    record["unix_time"] = round(time.time(), 1)
-
-    # Perf trajectory: one JSON record per run, newest last.
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    trajectory_path = OUTPUT_DIR / "BENCH_noc_traffic.json"
-    trajectory = (
-        json.loads(trajectory_path.read_text()) if trajectory_path.exists() else []
-    )
-    trajectory.append(record)
-    trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
-
     lines = ["ENGINE SPEEDUP — 8x8 uniform-random, steady state"]
     for engine in ("reference", "fast"):
         lines.append(
@@ -136,10 +122,8 @@ def test_bench_engine_speedup(benchmark, save_report):
 # --- topology family throughput --------------------------------------------------------
 #
 # One timed row per topology class at a matched 16-endpoint budget, on
-# each topology's best supported engine.  Rows append to the same
-# BENCH_noc_traffic.json trajectory as the engine-speedup record, so a
-# routing-table or adjacency regression that slows one family member
-# shows up across commits.
+# each topology's best supported engine, so a routing-table or adjacency
+# regression that slows one family member shows in the report.
 
 TOPOLOGY_BENCH = [
     ("mesh", ("mesh", 4, {}), "fast"),
@@ -185,21 +169,6 @@ def test_bench_topology_family(benchmark, save_report):
         rounds=1,
         iterations=1,
     )
-    record = {
-        "kind": "topology-family",
-        "rows": rows,
-        "full": FULL,
-        "unix_time": round(time.time(), 1),
-    }
-
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    trajectory_path = OUTPUT_DIR / "BENCH_noc_traffic.json"
-    trajectory = (
-        json.loads(trajectory_path.read_text()) if trajectory_path.exists() else []
-    )
-    trajectory.append(record)
-    trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
-
     lines = ["TOPOLOGY FAMILY — uniform-random @ 0.05, matched endpoints"]
     for name, row in rows.items():
         lines.append(
@@ -218,9 +187,8 @@ def test_bench_topology_family(benchmark, save_report):
 #
 # One timed trace-replay row: a payload-carrying bursty run recorded
 # into a trace, replayed on both engines with data-dependent link
-# pricing live.  Appends to the same BENCH_noc_traffic.json trajectory,
-# so an ingestion or transition-counting regression shows up across
-# commits alongside the engine-speedup records.
+# pricing live, so an ingestion or transition-counting regression shows
+# in the report.
 
 
 def _measure_trace_replay(k, rate, record_cycles, seed, warm, cycles):
@@ -274,22 +242,6 @@ def test_bench_trace_replay(benchmark, save_report):
         iterations=1,
     )
     n_packets = rows.pop("n_packets")
-    record = {
-        "kind": "trace-replay",
-        "n_packets": n_packets,
-        "rows": rows,
-        "full": FULL,
-        "unix_time": round(time.time(), 1),
-    }
-
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    trajectory_path = OUTPUT_DIR / "BENCH_noc_traffic.json"
-    trajectory = (
-        json.loads(trajectory_path.read_text()) if trajectory_path.exists() else []
-    )
-    trajectory.append(record)
-    trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
-
     lines = [
         f"TRACE REPLAY — 4x4 mesh, {n_packets} recorded packets, "
         "random payload, data-dependent pricing"

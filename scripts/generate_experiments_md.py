@@ -153,8 +153,8 @@ Extensions beyond the paper's evaluation (same substrates, exact solvers):
 | E23 | Fig. 8 re-cast as a searched frontier | NSGA-II over (swing, pitch) with the Fig. 6 yield gate (P(die fail) <= 0.17 over 40 dies): 86 candidates, 18-point front; the reproduced operating point (388 fJ/bit/cm at 6.83 Gb/s/um) is ON the computed front and remains the densest design in the pool with the Table I baselines added — the frontier claim holds against an adversarial search, not just the published points | `scripts/run_dse.py fig8 --strategy nsga2 --jobs 4` (docs/DSE.md) |
 | E24 | fault injection vs protection | effective fJ/bit/mm vs raw link BER, 4x4 mesh: at 1e-6 the unprotected link wins (278.5 vs CRC 280.9 — the check-bit tax buys nothing); by 1e-3 CRC wins 284.3 vs 427.9 and at 1e-2 by 20x (330.7 vs 6835) as corrupted payloads destroy the unprotected denominator; e2e retry never beats link-level CRC; crossover at BER >= 1e-4; per-link counts bitwise identical for any --jobs | `scripts/run_fault_campaign.py --jobs 4` (docs/FAULTS.md) |
 | E25 | campaign service | queue-backed campaign database: a fault campaign drained by two workers with one SIGKILLed mid-lease merges bitwise-identical to the single-process run; byte-identical resubmission reuses existing rows (no recompute), a changed config refuses to attach; double completion impossible under the lease-owner guard | `scripts/smoke_service.py` (docs/SERVICE.md) |
-| E26 | topology zoo | the mesh studies generalized to a topology family: concentrated mesh (c cores/router), torus (up*/down* table routing — dimension order deadlocks on the wrap cycles), and a two-level chiplet NoC/NoI whose longer NoI wires are priced per link in effective fJ/bit/mm; flat-mesh runs stay bitwise identical to the pre-family golden regressions, torus/cmesh/chiplet run on the fast engine with exact parity (the chiplet's 6-port gateway/interface routers set its port stride to 6); every family member's routing CDG is verified acyclic | `scripts/run_fault_campaign.py --topology torus` / `scripts/smoke_topology.py` (docs/TOPOLOGY.md) |
-| E27 | workload axis | workloads as a content-hashed experiment axis: uniform / bursty (Markov on/off) / collective-multicast / trace-replay traffic priced with data-dependent link energy — random payload bits land at 266/258/239 fJ/bit/mm (uniform/bursty/collective, 4x4 mesh at 0.1 load) vs 290/281/259 under the all-toggle constant model, with an opposing-pair crosstalk transition costing +10.4% (the E15 coupled-line Miller fraction); a recorded trace replays bitwise on both engines, campaign identity follows the trace's *content* (not path or format), and the worst-case reduction — all-toggle payload, coupling off — prices bitwise equal to the constant model | `scripts/run_fault_campaign.py --workload bursty --payload-mode random` / `scripts/smoke_workload.py` (docs/WORKLOADS.md) |
+| E26 | topology zoo | the mesh studies generalized to a topology family: concentrated mesh (c cores/router), torus (up*/down* table routing — dimension order deadlocks on the wrap cycles), and a two-level chiplet NoC/NoI whose longer NoI wires are priced per link in effective fJ/bit/mm; flat-mesh runs stay bitwise identical to the pre-family golden regressions, torus/cmesh/chiplet run on the fast engine with exact parity (the chiplet's 6-port gateway/interface routers set its port stride to 6); every family member's routing CDG is verified acyclic | `scripts/run_fault_campaign.py --topology torus` / `scripts/smoke_service.py --case topology` (docs/TOPOLOGY.md) |
+| E27 | workload axis | workloads as a content-hashed experiment axis: uniform / bursty (Markov on/off) / collective-multicast / trace-replay traffic priced with data-dependent link energy — random payload bits land at 266/258/239 fJ/bit/mm (uniform/bursty/collective, 4x4 mesh at 0.1 load) vs 290/281/259 under the all-toggle constant model, with an opposing-pair crosstalk transition costing +10.4% (the E15 coupled-line Miller fraction); a recorded trace replays bitwise on both engines, campaign identity follows the trace's *content* (not path or format), and the worst-case reduction — all-toggle payload, coupling off — prices bitwise equal to the constant model | `scripts/run_fault_campaign.py --workload bursty --payload-mode random` / `scripts/smoke_service.py --case workload` (docs/WORKLOADS.md) |
 
 ## Notes and deviations
 

@@ -50,7 +50,7 @@ from repro.fault import (
     run_fault_campaign,
 )
 from repro.noc.topology import TOPOLOGY_KINDS
-from repro.runtime import ResilienceConfig
+from repro.runtime import ParallelExecutor, ResilienceConfig
 from repro.workload import COLLECTIVES, PAYLOAD_MODES, WORKLOADS
 
 
@@ -230,8 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     result = run_fault_campaign(
         config,
-        n_jobs=args.jobs,
-        resilience=build_resilience(args),
+        executor=ParallelExecutor(
+            n_jobs=args.jobs, resilience=build_resilience(args)
+        ),
         checkpoint=args.checkpoint,
         resume=args.resume,
     )

@@ -7,12 +7,14 @@ their evaluations through :class:`repro.runtime.ParallelExecutor`, and
 with :class:`repro.dse.strategies.GridStrategy` so grid semantics cannot
 drift between sweeps and design-space searches.
 
-Both sweeps also speak the resilient-execution dialect: ``resilience=``
-opts points into timeouts/retries/quarantine (a quarantined point fills
-its metric slots with ``nan`` and lands in ``result.failures``), and
-``checkpoint=``/``resume=`` persist each completed point durably so an
-interrupted sweep resumes to the bitwise result of an uninterrupted one
-(see docs/RESILIENCE.md).
+Both sweeps run through the checkpointed task loop
+(:func:`repro.runtime.run_checkpointed`): ``checkpoint=``/``resume=``
+persist each completed point durably, so an interrupted sweep resumes
+to the bitwise result of an uninterrupted one.  Pass
+``executor=ParallelExecutor(resilience=...)`` to opt points into
+timeouts/retries/quarantine — a quarantined point fills its metric
+slots with ``nan`` and lands in ``result.failures`` (see
+docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.runtime import (
-    CheckpointStore,
     ParallelExecutor,
-    ProgressHook,
-    ResilienceConfig,
     TaskFailure,
     callable_token,
-    open_checkpoint,
+    run_checkpointed,
 )
 
 
@@ -71,9 +70,7 @@ def sweep(
     evaluate: Callable[[float], dict[str, float]],
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
-    progress: ProgressHook | None = None,
-    resilience: ResilienceConfig | None = None,
-    checkpoint: str | Path | CheckpointStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
 ) -> SweepResult:
     """Evaluate ``evaluate`` at each value; collect named metrics.
@@ -81,15 +78,15 @@ def sweep(
     Every call must return the same metric keys; a missing or extra key
     indicates a bug in the evaluator and raises.
 
-    ``n_jobs`` (or a pre-built ``executor``) distributes the points
+    ``n_jobs`` (or a pre-built ``executor``, which also carries any
+    ``progress`` hook or ``resilience`` config) distributes the points
     across worker processes.  Results are ordered and validated by value
     position, identically for every worker count; evaluators that cannot
     cross a process boundary (closures) run on the serial path and emit a
     :class:`repro.runtime.SerialFallbackWarning` saying so.
 
     ``checkpoint``/``resume`` persist completed points to a crash-safe
-    JSONL store and replay them on restart; ``resilience`` opts points
-    into the fault-tolerant task layer (see module docstring).
+    JSONL store and replay them on restart (see module docstring).
     """
     if not values:
         raise ConfigurationError("values must not be empty")
@@ -99,84 +96,21 @@ def sweep(
         "values": [float(v) for v in values],
         "evaluator": callable_token(evaluate),
     }
-    evaluated, failures = _evaluate_points(
-        list(values),
+    evaluated = run_checkpointed(
+        executor or ParallelExecutor(n_jobs=n_jobs),
         evaluate,
+        list(values),
+        [str(i) for i in range(len(values))],
+        checkpoint,
         config,
-        n_jobs=n_jobs,
-        executor=executor,
-        progress=progress,
-        resilience=resilience,
-        checkpoint=checkpoint,
-        resume=resume,
+        resume,
     )
     return SweepResult(
         parameter=parameter,
         values=tuple(float(v) for v in values),
         metrics=collect_metrics(values, evaluated),
-        failures=tuple(failures),
+        failures=tuple(v for v in evaluated if isinstance(v, TaskFailure)),
     )
-
-
-def _evaluate_points(
-    points: list,
-    evaluate: Callable,
-    config: dict,
-    n_jobs: int | None,
-    executor: ParallelExecutor | None,
-    progress: ProgressHook | None,
-    resilience: ResilienceConfig | None,
-    checkpoint: str | Path | CheckpointStore | None,
-    resume: bool,
-) -> tuple[list, list[TaskFailure]]:
-    """Shared sweep body: checkpoint replay + resilient parallel map.
-
-    Returns the per-point results in point order (metric dicts, with
-    :class:`TaskFailure` in quarantined slots) plus the failure records.
-    """
-    store = open_checkpoint(checkpoint, config, resume)
-    done: dict[int, dict] = {}
-    if store is not None:
-        done = {int(k): p for k, p in store.items()}
-    pending = [(i, point) for i, point in enumerate(points) if i not in done]
-
-    computed: dict[int, object] = {}
-    if pending:
-        executor = executor or ParallelExecutor(
-            n_jobs=n_jobs, progress=progress, resilience=resilience
-        )
-        on_result = None
-        if store is not None:
-
-            def on_result(indices: list[int], block: list) -> None:
-                for j, value in zip(indices, block):
-                    if not isinstance(value, TaskFailure):
-                        store.append(str(pending[j][0]), value)
-
-        results = executor.map(
-            evaluate, [point for _, point in pending], on_result=on_result
-        )
-        for (i, _), value in zip(pending, results):
-            computed[i] = value
-    if store is not None and not isinstance(checkpoint, CheckpointStore):
-        store.close()
-
-    evaluated: list = []
-    failures: list[TaskFailure] = []
-    for i in range(len(points)):
-        value = done.get(i, computed.get(i))
-        if isinstance(value, TaskFailure):
-            value = TaskFailure(
-                index=i,
-                error_type=value.error_type,
-                message=value.message,
-                traceback=value.traceback,
-                attempts=value.attempts,
-                kind=value.kind,
-            )
-            failures.append(value)
-        evaluated.append(value)
-    return evaluated, failures
 
 
 def collect_metrics(
@@ -273,9 +207,7 @@ def sweep_grid(
     evaluate: Callable[[dict[str, float]], dict[str, float]],
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
-    progress: ProgressHook | None = None,
-    resilience: ResilienceConfig | None = None,
-    checkpoint: str | Path | CheckpointStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
 ) -> GridResult:
     """Evaluate ``evaluate`` at every point of a cartesian grid.
@@ -285,7 +217,7 @@ def sweep_grid(
     (the same keys at every point, as in :func:`sweep`).  Points are
     enumerated by :func:`grid_points` and fanned through the executor —
     results are ordered and identical for every worker count.  The
-    ``resilience``/``checkpoint``/``resume`` knobs match :func:`sweep`.
+    ``executor``/``checkpoint``/``resume`` knobs match :func:`sweep`.
     """
     points = grid_points(parameters)
     config = {
@@ -293,22 +225,20 @@ def sweep_grid(
         "parameters": {k: [float(v) for v in vs] for k, vs in parameters.items()},
         "evaluator": callable_token(evaluate),
     }
-    evaluated, failures = _evaluate_points(
-        points,
+    evaluated = run_checkpointed(
+        executor or ParallelExecutor(n_jobs=n_jobs),
         evaluate,
+        points,
+        [str(i) for i in range(len(points))],
+        checkpoint,
         config,
-        n_jobs=n_jobs,
-        executor=executor,
-        progress=progress,
-        resilience=resilience,
-        checkpoint=checkpoint,
-        resume=resume,
+        resume,
     )
     return GridResult(
         parameters=tuple(parameters),
         points=tuple(points),
         metrics=collect_metrics(points, evaluated),
-        failures=tuple(failures),
+        failures=tuple(v for v in evaluated if isinstance(v, TaskFailure)),
     )
 
 

@@ -47,12 +47,7 @@ from repro.workload import (
     build_traffic,
     load_trace_cached,
 )
-from repro.runtime import (
-    CheckpointStore,
-    ResilienceConfig,
-    TaskFailure,
-    open_checkpoint,
-)
+from repro.runtime import TaskFailure, run_checkpointed
 from repro.runtime.cache import content_key
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.seeds import derived_seed
@@ -562,15 +557,17 @@ def run_fault_campaign(
     config: FaultCampaignConfig | None = None,
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
-    resilience: ResilienceConfig | None = None,
-    checkpoint: str | Path | CheckpointStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
 ) -> FaultCampaignResult:
     """Evaluate the full (BER x protocol) grid, optionally in parallel.
 
-    ``resilience`` opts points into the fault-tolerant task layer:
-    timeouts, deterministic retries, worker-crash recovery, and (unless
-    ``strict=True``) quarantine of points that exhaust their budget.
+    ``n_jobs`` fans the points across worker processes; a pre-built
+    ``executor`` replaces it.  An executor with a
+    :class:`~repro.runtime.ResilienceConfig` opts points into the
+    fault-tolerant task layer: timeouts, deterministic retries,
+    worker-crash recovery, and (unless ``strict=True``) quarantine of
+    points that exhaust their budget into ``result.failures``.
     ``checkpoint``/``resume`` persist each completed point to a
     crash-safe JSONL store bound to this exact campaign configuration —
     a campaign killed mid-run resumes to the bitwise result of an
@@ -580,59 +577,21 @@ def run_fault_campaign(
     config = config or FaultCampaignConfig()
     config.effective_engine()  # warn (once, in the parent) on a fallback
     tasks = config.tasks()
-    store = open_checkpoint(
+    values = run_checkpointed(
+        executor or ParallelExecutor(n_jobs=n_jobs),
+        _evaluate_point,
+        tasks,
+        [point_key(ber, protocol) for _, ber, protocol in tasks],
         checkpoint,
         {"kind": "fault-campaign/v3", "config": asdict(config)},
         resume,
+        encode=point_payload,
+        decode=point_from_payload,
     )
-    done: dict[str, FaultPointResult] = {}
-    if store is not None:
-        done = {k: point_from_payload(p) for k, p in store.items()}
-    pending = [
-        (i, task)
-        for i, task in enumerate(tasks)
-        if point_key(task[1], task[2]) not in done
-    ]
-
-    computed: dict[int, FaultPointResult | TaskFailure] = {}
-    if pending:
-        executor = executor or ParallelExecutor(n_jobs=n_jobs, resilience=resilience)
-        on_result = None
-        if store is not None:
-
-            def on_result(indices: list[int], block: list) -> None:
-                for j, value in zip(indices, block):
-                    if not isinstance(value, TaskFailure):
-                        _, ber, protocol = pending[j][1]
-                        store.append(point_key(ber, protocol), point_payload(value))
-
-        results = executor.map(
-            _evaluate_point, [task for _, task in pending], on_result=on_result
-        )
-        for (i, _), value in zip(pending, results):
-            computed[i] = value
-    if store is not None and not isinstance(checkpoint, CheckpointStore):
-        store.close()
-
-    points: list[FaultPointResult] = []
-    failures: list[TaskFailure] = []
-    for i, task in enumerate(tasks):
-        value = done.get(point_key(task[1], task[2]), computed.get(i))
-        if isinstance(value, TaskFailure):
-            failures.append(
-                TaskFailure(
-                    index=i,
-                    error_type=value.error_type,
-                    message=value.message,
-                    traceback=value.traceback,
-                    attempts=value.attempts,
-                    kind=value.kind,
-                )
-            )
-        else:
-            points.append(value)
     return FaultCampaignResult(
-        config=config, points=tuple(points), failures=tuple(failures)
+        config=config,
+        points=tuple(v for v in values if not isinstance(v, TaskFailure)),
+        failures=tuple(v for v in values if isinstance(v, TaskFailure)),
     )
 
 

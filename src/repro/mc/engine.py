@@ -33,15 +33,12 @@ from repro.circuit.prbs import PrbsGenerator, worst_case_patterns
 from repro.circuit.srlr import SRLRDesignParams
 from repro.runtime import (
     MISS,
-    CheckpointStore,
     ParallelExecutor,
-    ProgressHook,
-    ResilienceConfig,
     ResultCache,
     TaskFailure,
     content_key,
     make_seeds,
-    open_checkpoint,
+    run_checkpointed,
 )
 from repro.tech.variation import monte_carlo_sample
 
@@ -178,9 +175,7 @@ def run_monte_carlo(
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
     cache: ResultCache | None = None,
-    progress: ProgressHook | None = None,
-    resilience: ResilienceConfig | None = None,
-    checkpoint: str | Path | CheckpointStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
 ) -> McResult:
     """Monte Carlo yield analysis of one link design.
@@ -192,23 +187,23 @@ def run_monte_carlo(
     ``local_enabled=False`` restricts variation to global corners only
     (useful for ablating the two variation scales).
 
-    ``n_jobs`` (or a pre-built ``executor``) fans the dies across worker
-    processes; results are identical for every worker count.  ``cache``
-    (a :class:`~repro.runtime.ResultCache`) skips the whole block when an
-    entry keyed by (design, pattern, seeds, ...) already exists.
-
-    ``resilience`` opts the dies into the fault-tolerant task layer
-    (per-die timeouts, deterministic retries, worker-crash recovery);
-    with ``strict=False``, dies whose task exhausted its budget land in
+    ``n_jobs`` fans the dies across worker processes; results are
+    identical for every worker count.  A pre-built ``executor`` replaces
+    it and carries everything else about execution: a ``progress`` hook,
+    or a :class:`~repro.runtime.ResilienceConfig` (per-die timeouts,
+    deterministic retries, worker-crash recovery) under which, with
+    ``strict=False``, dies whose task exhausted its budget land in
     :attr:`McResult.failures` instead of aborting the campaign.
+    ``cache`` (a :class:`~repro.runtime.ResultCache`) skips the whole
+    block when an entry keyed by (design, pattern, seeds, ...) already
+    exists.
 
-    ``checkpoint`` (a path or open :class:`~repro.runtime.CheckpointStore`)
-    persists each die durably as it completes; ``resume=True`` replays a
-    partially-written store — bound to this exact campaign configuration
-    — and computes only the missing dies, so a run killed at any instant
-    converges to the bitwise result of an uninterrupted one.  Every die
-    depends only on its own seed, which is why replayed and recomputed
-    dies mix freely.
+    ``checkpoint`` (a path) persists each die durably as it completes;
+    ``resume=True`` replays a partially-written store — bound to this
+    exact campaign configuration — and computes only the missing dies,
+    so a run killed at any instant converges to the bitwise result of an
+    uninterrupted one.  Every die depends only on its own seed, which is
+    why replayed and recomputed dies mix freely.
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
@@ -230,95 +225,34 @@ def run_monte_carlo(
         if cached is not MISS:
             return McResult(design=design, runs=list(cached))
 
-    store = open_checkpoint(
-        checkpoint, {"kind": "run_monte_carlo/v1", "campaign": campaign_key}, resume
+    # Each executor chunk is one batch through the link kernel; under a
+    # ResilienceConfig the executor runs one die per task, so timeouts,
+    # retries and TaskFailure records stay per die.
+    worker = partial(
+        simulate_dies,
+        design=design,
+        pattern=tuple(pattern),
+        bit_period=bit_period,
+        local_enabled=local_enabled,
     )
-    try:
-        return _run_campaign(
-            design, seeds, pattern, bit_period, local_enabled, n_runs,
-            n_jobs, executor, cache, progress, resilience,
-            store, campaign_key,
-        )
-    finally:
-        # Each record was fsynced as it landed, so closing here (even on
-        # KeyboardInterrupt mid-campaign) never loses completed dies.
-        if store is not None and not isinstance(checkpoint, CheckpointStore):
-            store.close()
-
-
-def _run_campaign(
-    design: SRLRDesignParams,
-    seeds: list[int],
-    pattern: list[int],
-    bit_period: float,
-    local_enabled: bool,
-    n_runs: int,
-    n_jobs: int | None,
-    executor: ParallelExecutor | None,
-    cache: ResultCache | None,
-    progress: ProgressHook | None,
-    resilience: ResilienceConfig | None,
-    store: CheckpointStore | None,
-    campaign_key: str,
-) -> McResult:
-    done: dict[int, McRun] = {}
-    if store is not None:
-        done = {int(k): run_from_payload(p) for k, p in store.items()}
-    pending = [(i, seed) for i, seed in enumerate(seeds) if i not in done]
-
-    computed: dict[int, McRun | TaskFailure] = {}
-    if pending:
-        # Each executor chunk is one batch through the link kernel; under
-        # a ResilienceConfig the executor runs one die per task, so
-        # timeouts, retries and TaskFailure records stay per die.
-        worker = partial(
-            simulate_dies,
-            design=design,
-            pattern=tuple(pattern),
-            bit_period=bit_period,
-            local_enabled=local_enabled,
-        )
-        executor = executor or ParallelExecutor(
-            n_jobs=n_jobs, progress=progress, resilience=resilience
-        )
-
-        on_result = None
-        if store is not None:
-
-            def on_result(indices: list[int], values: list) -> None:
-                # Persist each die as its chunk lands; a TaskFailure is
-                # never checkpointed — a resumed run retries it.
-                for j, value in zip(indices, values):
-                    if not isinstance(value, TaskFailure):
-                        store.append(str(pending[j][0]), run_payload(value))
-
-        values = executor.map_chunks(
-            worker, [seed for _, seed in pending], on_result=on_result
-        )
-        for (i, _), value in zip(pending, values):
-            computed[i] = value
-
-    runs: list[McRun] = []
-    failures: list[TaskFailure] = []
-    for i in range(n_runs):
-        value = done.get(i, computed.get(i))
-        if isinstance(value, TaskFailure):
-            # Re-point the record at the die index (the executor saw
-            # only the pending subset).
-            failures.append(
-                TaskFailure(
-                    index=i,
-                    error_type=value.error_type,
-                    message=value.message,
-                    traceback=value.traceback,
-                    attempts=value.attempts,
-                    kind=value.kind,
-                )
-            )
-        else:
-            runs.append(value)
-    result = McResult(design=design, runs=runs, failures=failures)
-    if cache is not None and not failures:
+    values = run_checkpointed(
+        executor or ParallelExecutor(n_jobs=n_jobs),
+        worker,
+        seeds,
+        [str(i) for i in range(n_runs)],
+        checkpoint,
+        {"kind": "run_monte_carlo/v1", "campaign": campaign_key},
+        resume,
+        encode=run_payload,
+        decode=run_from_payload,
+        chunked=True,
+    )
+    result = McResult(
+        design=design,
+        runs=[v for v in values if not isinstance(v, TaskFailure)],
+        failures=[v for v in values if isinstance(v, TaskFailure)],
+    )
+    if cache is not None and not result.failures:
         cache.put(campaign_key, result.runs)
     return result
 

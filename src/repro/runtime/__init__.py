@@ -7,8 +7,9 @@ per-task seed streams, lightweight progress metrics, an opt-in on-disk
 result cache keyed by a content hash of the inputs, a fault-tolerant
 task layer (timeouts, deterministic retries, worker-crash recovery,
 poison-task quarantine — :mod:`repro.runtime.resilience`), and
-crash-safe JSONL checkpoint stores that give every long-running
-campaign ``checkpoint=``/``resume=`` (:mod:`repro.runtime.checkpoint`).
+crash-safe JSONL checkpoint stores plus the one checkpointed task loop
+(:func:`run_checkpointed`) that gives every long-running campaign
+``checkpoint=``/``resume=`` (:mod:`repro.runtime.checkpoint`).
 """
 
 from repro.runtime.cache import (
@@ -24,7 +25,7 @@ from repro.runtime.checkpoint import (
     JsonlCheckpointBase,
     callable_token,
     git_provenance,
-    open_checkpoint,
+    run_checkpointed,
 )
 from repro.runtime.executor import (
     ParallelExecutor,
@@ -70,9 +71,9 @@ __all__ = [
     "derived_seed",
     "git_provenance",
     "make_seeds",
-    "open_checkpoint",
     "print_progress",
     "resolve_n_jobs",
+    "run_checkpointed",
     "sequential_seeds",
     "spawned_seeds",
     "stable_token",

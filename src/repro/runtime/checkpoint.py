@@ -23,10 +23,12 @@ with identical crash semantics:
   campaign converge to the exact result of an uninterrupted one.
 
 :class:`JsonlCheckpointBase` carries the shared plumbing;
-:class:`CheckpointStore` is the generic key->payload instantiation used
-by ``run_monte_carlo``, ``sweep``/``sweep_grid`` and
-``run_fault_campaign``; the DSE's :class:`~repro.dse.store.RunStore`
-subclasses the base with its richer record type.
+:class:`CheckpointStore` is the generic key->payload instantiation, and
+:func:`run_checkpointed` is the one replay -> map -> persist loop over it
+that ``run_monte_carlo``, ``sweep``/``sweep_grid`` and
+``run_fault_campaign`` all run; the DSE's
+:class:`~repro.dse.store.RunStore` subclasses the base with its richer
+record type.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ import json
 import os
 import subprocess
 import warnings
+from collections.abc import Callable, Sequence
+from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import CheckpointError
 from repro.runtime.cache import content_key, stable_token
+from repro.runtime.resilience import TaskFailure
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import ParallelExecutor
 
 #: Bumped when the line format changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -91,6 +99,10 @@ def callable_token(fn: Any) -> str:
     except TypeError:
         state = ""
     return f"{module}:{name}:{state}"
+
+
+def _identity(value: Any) -> Any:
+    return value
 
 
 class JsonlCheckpointBase:
@@ -310,25 +322,64 @@ class CheckpointStore(JsonlCheckpointBase):
         return [(k, self._records[k]) for k in self._order]
 
 
-def open_checkpoint(
-    checkpoint: str | Path | CheckpointStore | None,
+def run_checkpointed(
+    executor: ParallelExecutor,
+    fn: Callable[..., Any],
+    items: Sequence[Any],
+    keys: Sequence[str],
+    checkpoint: str | Path | None,
     config: dict,
     resume: bool,
-) -> CheckpointStore | None:
-    """Campaign-side helper: coerce a path into an open store.
+    encode: Callable[[Any], Any] = _identity,
+    decode: Callable[[Any], Any] = _identity,
+    chunked: bool = False,
+) -> list[Any]:
+    """The checkpointed task loop behind every in-process campaign driver.
 
-    ``None`` passes through (checkpointing off); an already-open store is
-    ``begin``-ed against ``config``; a path is wrapped first.
+    Maps ``fn`` over ``items`` through ``executor`` (``map_chunks`` when
+    ``chunked``, else ``map``) and returns the results in campaign order,
+    with a :class:`~repro.runtime.TaskFailure` — indexed by campaign
+    position — in every quarantined slot.
+
+    With a ``checkpoint`` path, the store is bound to ``config``; item
+    ``i`` is persisted under ``keys[i]`` as ``encode(result)`` the moment
+    its chunk lands, and ``resume=True`` replays ``decode(payload)`` for
+    every stored key and maps only the rest.  A failure is never
+    persisted, so a resumed run retries it.  The store is closed on every
+    exit path; each record was fsynced as it landed, so an exception
+    (even ``KeyboardInterrupt``) never loses completed work.
     """
-    if checkpoint is None:
-        return None
-    store = (
-        checkpoint
-        if isinstance(checkpoint, CheckpointStore)
-        else CheckpointStore(checkpoint)
-    )
-    store.begin(config, resume=resume)
-    return store
+    store = None if checkpoint is None else CheckpointStore(checkpoint)
+    try:
+        results: list[Any] = [None] * len(items)
+        on_result = None
+        if store is not None:
+            store.begin(config, resume=resume)
+            for i, key in enumerate(keys):
+                if key in store:
+                    results[i] = decode(store.get(key))
+
+            def on_result(indices: list[int], values: list) -> None:
+                for j, value in zip(indices, values):
+                    if not isinstance(value, TaskFailure):
+                        store.append(keys[pending[j]], encode(value))
+
+        pending = [
+            i for i, key in enumerate(keys) if store is None or key not in store
+        ]
+        if pending:
+            run = executor.map_chunks if chunked else executor.map
+            values = run(fn, [items[i] for i in pending], on_result=on_result)
+            for i, value in zip(pending, values):
+                # The executor saw only the pending subset; re-point a
+                # failure at its campaign position.
+                if isinstance(value, TaskFailure):
+                    value = replace(value, index=i)
+                results[i] = value
+        return results
+    finally:
+        if store is not None:
+            store.close()
 
 
 __all__ = [
@@ -337,5 +388,5 @@ __all__ = [
     "JsonlCheckpointBase",
     "callable_token",
     "git_provenance",
-    "open_checkpoint",
+    "run_checkpointed",
 ]

@@ -11,8 +11,10 @@ refusal, and exact float round-trips.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,8 @@ from repro.analysis.sweep import sweep, sweep_grid
 from repro.circuit.srlr import robust_design
 from repro.errors import CheckpointError
 from repro.fault import FaultCampaignConfig, run_fault_campaign
+from repro.fault import campaign as fault_campaign
+from repro.mc import engine as mc_engine
 from repro.mc.engine import run_monte_carlo
 from repro.runtime import (
     CheckpointStore,
@@ -257,7 +261,11 @@ def test_sweep_quarantined_point_not_checkpointed_and_retried_on_resume(tmp_path
 
     config = ResilienceConfig(max_retries=0, backoff_base=0.0)
     broken = sweep(
-        "swing", SWEEP_VALUES, evaluate, resilience=config, checkpoint=path
+        "swing",
+        SWEEP_VALUES,
+        evaluate,
+        executor=ParallelExecutor(resilience=config),
+        checkpoint=path,
     )
     assert len(broken.failures) == 1
     assert broken.failures[0].index == 2
@@ -320,3 +328,167 @@ def test_fault_campaign_interrupted_resume_is_bitwise_identical(tmp_path):
     )
     with pytest.raises(CheckpointError, match="different run configuration"):
         run_fault_campaign(changed, checkpoint=path, resume=True)
+
+
+# --- every driver through the one checkpointed loop -----------------------------------
+
+#: A fault campaign small enough to run several times per test.
+SMALL_FAULT = FaultCampaignConfig(
+    k=2,
+    warmup=10,
+    measure=20,
+    bers=(1e-3, 1e-2),
+    protocols=("none", "crc"),
+    seed=5,
+)
+
+
+def _raise(*_args, **_kwargs):
+    raise RuntimeError("evaluation failed")
+
+
+def _raising_run(driver: str, path: Path) -> None:
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        if driver == "sweep":
+            sweep("v", [0.0, 1.0, 2.0], _raise, checkpoint=path)
+        else:
+            run_fault_campaign(SMALL_FAULT, checkpoint=path)
+
+
+@pytest.mark.parametrize("driver", ["sweep", "fault"])
+def test_store_closed_when_evaluation_raises(tmp_path, monkeypatch, driver):
+    monkeypatch.setattr(fault_campaign, "_evaluate_point", _raise)
+    path = tmp_path / "s.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _raising_run(driver, path)
+        gc.collect()
+    leaked = [
+        w
+        for w in caught
+        if issubclass(w.category, ResourceWarning) and str(path) in str(w.message)
+    ]
+    assert leaked == []
+    assert path.exists()  # the header was written before evaluation raised
+
+
+def _gate_open(gate: Path) -> bool:
+    return (gate / "open").exists()
+
+
+def _mc_case(gate: Path, monkeypatch):
+    n_runs, poison = 8, 5
+    real = mc_engine.simulate_dies
+    poison_seed = 2013 + poison
+
+    def gated(seeds, *args, **kwargs):
+        if poison_seed in seeds and not _gate_open(gate):
+            raise RuntimeError("gate closed")
+        return real(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(mc_engine, "simulate_dies", gated)
+
+    def run(**kwargs):
+        return run_monte_carlo(robust_design(), n_runs=n_runs, **kwargs)
+
+    return run, n_runs, poison, str(poison), lambda r: r.runs
+
+
+def _sweep_case(gate: Path, monkeypatch):
+    evaluate = functools.partial(_gated_eval, gate_dir=str(gate))
+
+    def run(**kwargs):
+        return sweep("swing", SWEEP_VALUES, evaluate, **kwargs)
+
+    return run, len(SWEEP_VALUES), 2, "2", lambda r: r
+
+
+def _fault_case(gate: Path, monkeypatch):
+    tasks = SMALL_FAULT.tasks()
+    poison = 2
+    real = fault_campaign._evaluate_point
+
+    def gated(task):
+        if task == tasks[poison] and not _gate_open(gate):
+            raise RuntimeError("gate closed")
+        return real(task)
+
+    monkeypatch.setattr(fault_campaign, "_evaluate_point", gated)
+
+    def run(**kwargs):
+        return run_fault_campaign(SMALL_FAULT, **kwargs)
+
+    key = fault_campaign.point_key(*tasks[poison][1:])
+    return run, len(tasks), poison, key, lambda r: r.points
+
+
+@pytest.mark.parametrize(
+    "make_case", [_mc_case, _sweep_case, _fault_case], ids=["mc", "sweep", "fault"]
+)
+def test_quarantined_item_on_resume_reindexed_to_campaign_position(
+    tmp_path, monkeypatch, make_case
+):
+    gate = tmp_path / "gate"
+    gate.mkdir()
+    (gate / "open").touch()
+    run, n_items, poison, poison_key, outcome = make_case(gate, monkeypatch)
+    reference = run()
+    path = tmp_path / "store.jsonl"
+
+    # First run: only the first record survives the "kill".
+    run(checkpoint=path)
+    _truncate_to_records(path, 1)
+
+    # Resume with the poison item failing: the executor sees the
+    # pending subset, where the poison item sits at poison - 1.
+    (gate / "open").unlink()
+    resilient = ParallelExecutor(
+        resilience=ResilienceConfig(max_retries=0, backoff_base=0.0)
+    )
+    broken = run(executor=resilient, checkpoint=path, resume=True)
+    assert [f.index for f in broken.failures] == [poison]
+
+    store = CheckpointStore(path)
+    store.load()
+    assert poison_key not in store  # the failure was NOT persisted
+    assert len(store) == n_items - 1
+
+    # Third run with the fault gone converges to the uninterrupted run.
+    (gate / "open").touch()
+    resumed = run(checkpoint=path, resume=True)
+    assert resumed.failures in ((), [])
+    assert outcome(resumed) == outcome(reference)
+
+
+#: Header ``config_key`` each driver wrote before the drivers shared one
+#: checkpointed loop.  A store written then must still resume, so these
+#: must never change without a new config ``kind``.
+PINNED_CONFIG_KEYS = {
+    "mc": "9506c12350dfd9afdcebe6b2c6e1d90006db13016a57fec15d275a10aaa0ae35",
+    "sweep": "531e73795e2c9bcb59132cce9888ed08fd9799fd8079158e0167ba28d72da152",
+    "sweep_grid": "99a7a4e4f270217d2ad3dfc6749b133c87f0420a1606bb89d4534f24a1324bd6",
+    "fault": "b0453207cac19ceb3481d5ed915394de6ad2f355ad28b403a9a1fe27b345b8f5",
+}
+
+
+def _pinned_run(driver: str, path: Path) -> None:
+    if driver == "mc":
+        run_monte_carlo(robust_design(), n_runs=4, checkpoint=path)
+    elif driver == "sweep":
+        sweep("swing", SWEEP_VALUES, _sweep_eval, checkpoint=path)
+    elif driver == "sweep_grid":
+        parameters = {"a": (1.0, 2.0, 3.0), "b": (0.5, 0.25)}
+        sweep_grid(parameters, _grid_eval, checkpoint=path)
+    else:
+        config = FaultCampaignConfig(
+            k=2, warmup=10, measure=20, bers=(1e-3,), protocols=("none",), seed=5
+        )
+        run_fault_campaign(config, checkpoint=path)
+
+
+@pytest.mark.parametrize("driver", sorted(PINNED_CONFIG_KEYS))
+def test_store_header_config_key_is_pinned(tmp_path, driver):
+    path = tmp_path / f"{driver}.jsonl"
+    _pinned_run(driver, path)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["config_key"] == PINNED_CONFIG_KEYS[driver]
