@@ -18,6 +18,7 @@ accounting (:mod:`repro.noc.power`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -32,6 +33,12 @@ SRLR_AREA = 47.9e-12  # m^2  (10.2 um x 4.7 um)
 
 #: Crosspoints of a 5-port crossbar without u-turns (Fig. 3).
 CROSSPOINTS_5PORT = 20
+
+
+@functools.cache
+def _default_srlr_bit_energy() -> float:
+    """The calibrated design's SRLR energy per bit per mm, joules."""
+    return srlr_link_energy().fj_per_bit_per_mm * FJ
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,6 @@ class RouterPowerModel:
 
     def __init__(self, config: RouterConfig | None = None) -> None:
         self.config = config or default_router_config()
-        self._srlr_bit_energy_cache: float | None = None
 
     # --- per-flit energies -----------------------------------------------------------
 
@@ -172,13 +178,10 @@ class RouterPowerModel:
     def srlr_bit_energy(self) -> float:
         """Measured SRLR energy per bit for one 1 mm hop (J/bit).
 
-        Taken from the circuit-level link model at 50% activity and cached
-        (it is deterministic for the calibrated design).
+        Taken from the circuit-level link model at 50% activity, once
+        per process (it is deterministic for the calibrated design).
         """
-        if self._srlr_bit_energy_cache is None:
-            report = srlr_link_energy()
-            self._srlr_bit_energy_cache = report.fj_per_bit_per_mm * FJ
-        return self._srlr_bit_energy_cache
+        return _default_srlr_bit_energy()
 
     def full_swing_bit_energy(self) -> float:
         """Repeated full-swing energy per bit for crossbar + 1 mm link."""

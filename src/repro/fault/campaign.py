@@ -44,6 +44,7 @@ from repro.workload import (
     COLLECTIVES,
     PAYLOAD_MODES,
     WORKLOADS,
+    TrafficTape,
     build_traffic,
     load_trace_cached,
 )
@@ -368,31 +369,31 @@ class FaultPointResult:
     livelocked: bool = False
 
 
-def _evaluate_point(
-    task: tuple[FaultCampaignConfig, float, str]
-) -> FaultPointResult:
-    """Run one campaign point (module-level: picklable for workers)."""
-    config, ber, protocol = task
-    topology = config.build_topology()
-    # The traffic stream is shared across protocols at a BER point (same
-    # derived seed), so scheme comparisons see identical offered load.
-    # The mesh token predates the topology zoo and stays unchanged so
-    # mesh campaigns remain bitwise identical to their golden runs; the
-    # synthetic tokens likewise predate the workload axis.
+def _traffic_seed(config: FaultCampaignConfig) -> int:
+    """The seed of a campaign's traffic stream (and the NIC RNGs).
+
+    The token names no BER and no protocol: every point of a campaign
+    sees the same offered packets, so scheme comparisons see identical
+    load.  The mesh token predates the topology zoo and stays unchanged
+    so mesh campaigns remain bitwise identical to their golden runs;
+    the synthetic tokens likewise predate the workload axis.
+    """
     if config.workload == "synthetic":
         if config.topology == "mesh":
-            traffic_token = f"fault/campaign/traffic/{config.k}"
+            token = f"fault/campaign/traffic/{config.k}"
         else:
-            traffic_token = (
-                f"fault/campaign/traffic/{config.topology}/{config.k}"
-            )
+            token = f"fault/campaign/traffic/{config.topology}/{config.k}"
     else:
-        traffic_token = (
+        token = (
             f"fault/campaign/traffic/{config.workload}/"
             f"{config.topology}/{config.k}"
         )
-    sim_seed = derived_seed(config.seed, traffic_token)
-    traffic = build_traffic(
+    return derived_seed(config.seed, token)
+
+
+def _build_campaign_traffic(config: FaultCampaignConfig, topology: Topology):
+    """A live traffic source for ``config`` (the stream a tape records)."""
+    return build_traffic(
         topology,
         config.workload,
         injection_rate=config.injection_rate,
@@ -400,7 +401,7 @@ def _evaluate_point(
         size_flits=config.size_flits,
         multicast_fraction=config.multicast_fraction,
         multicast_degree=config.multicast_degree,
-        seed=sim_seed,
+        seed=_traffic_seed(config),
         burst_on=config.burst_on,
         burst_off=config.burst_off,
         collective_fraction=config.collective_fraction,
@@ -409,6 +410,46 @@ def _evaluate_point(
         payload_mode=config.payload_mode,
         flit_bits=config.flit_bits,
     )
+
+
+#: Campaigns whose recorded packet stream is kept, most recent last.
+_TAPE_MEMO_SIZE = 4
+_tapes: dict[FaultCampaignConfig, TrafficTape] = {}
+
+
+def _campaign_tape(config: FaultCampaignConfig) -> TrafficTape:
+    """The campaign's packet stream, generated once per process.
+
+    Every point of a campaign shares its config, so the serial map, each
+    worker process and the service adapter all record the stream once
+    and replay it at every (BER, protocol) point.  Keyed by the whole
+    frozen config: campaigns that differ in any field (seed included)
+    never share a tape.
+    """
+    tape = _tapes.pop(config, None)
+    if tape is None:
+        tape = TrafficTape(
+            _build_campaign_traffic(config, config.build_topology()),
+            config.warmup + config.measure,
+        )
+        if len(_tapes) >= _TAPE_MEMO_SIZE:
+            del _tapes[next(iter(_tapes))]
+    _tapes[config] = tape
+    return tape
+
+
+def _evaluate_point(
+    task: tuple[FaultCampaignConfig, float, str]
+) -> FaultPointResult:
+    """Run one campaign point (module-level: picklable for workers)."""
+    config, ber, protocol = task
+    topology = config.build_topology()
+    sim_seed = _traffic_seed(config)
+    if config.workload == "trace":
+        # Trace replay already shares one parsed recording.
+        traffic = _build_campaign_traffic(config, topology)
+    else:
+        traffic = _campaign_tape(config).replay()
     # warn=False: the campaign driver already warned once in the parent;
     # worker processes would emit invisible duplicates.
     sim = NocSimulator(

@@ -32,6 +32,7 @@ advance by cycle number — so per-link fault counts depend only on
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,6 @@ from repro.noc.link import Link
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import NodeId, Port
 from repro.runtime.seeds import derived_seed
-
-_DIRECTIONS = (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
 
 
 @dataclass
@@ -110,6 +109,12 @@ class FaultStats:
             )
             for token, c in sorted(self.per_link.items())
         }
+
+
+@functools.lru_cache(maxsize=16)
+def _channel_seeds(seed: int, tokens: tuple[str, ...]) -> tuple[int, ...]:
+    """Per-link error-stream seeds; every protocol at a BER shares them."""
+    return tuple(derived_seed(seed, f"fault/errors/{token}") for token in tokens)
 
 
 class FaultChannel:
@@ -300,15 +305,19 @@ class FaultLayer:
         self.sim = sim
         tokens = [link.token for link in sim.links]
         states = self.model.make_states(tokens, self.seed)
-        for link in sim.links:
+        # sim.links was built from directed_links() in the same order;
+        # the out port rides along (chiplet routers carry a sixth one).
+        directed = sim.topology.directed_links()
+        seeds = _channel_seeds(self.seed, tuple(tokens))
+        for link, (_src, out_port, _dst, _in_port), seed in zip(
+            sim.links, directed, seeds, strict=True
+        ):
             channel = FaultChannel(
                 layer=self,
                 link=link,
-                out_port=self._link_direction(sim.topology, link),
+                out_port=out_port,
                 state=states[link.token],
-                rng=np.random.default_rng(
-                    derived_seed(self.seed, f"fault/errors/{link.token}")
-                ),
+                rng=np.random.default_rng(seed),
                 protection=self.protection,
                 flit_bits=self.flit_bits,
             )
@@ -331,15 +340,6 @@ class FaultLayer:
             )
         sim.fault_layer = self
         return self
-
-    @staticmethod
-    def _link_direction(topology, link: Link) -> Port:
-        # Per-node ports, not the fixed compass set: chiplet gateways
-        # and interface routers carry a sixth (vertical) port.
-        for port in topology.node_ports(link.src):
-            if topology.neighbor(link.src, port) == link.dst.node:
-                return port
-        raise ConfigurationError(f"link {link.token} joins non-neighbors")
 
     def _reinject(self, packet: Packet) -> None:
         assert self.sim is not None

@@ -159,6 +159,18 @@ class EndToEndTracker:
             # Worst-case request path + ack path + queueing slack.
             diameter = topology.diameter
             self.base_timeout = 4 * diameter * self._hop_cycles + 32
+        #: Retry timeout by retry count: exponential backoff, capped.
+        #: Powers stop once the cap is reached, so a large retry budget
+        #: never overflows the float power.
+        timeouts = []
+        scale = None
+        for retries in range(config.max_packet_retries + 1):
+            if scale != config.max_backoff_scale:
+                scale = min(
+                    config.backoff_factor**retries, config.max_backoff_scale
+                )
+            timeouts.append(int(math.ceil(self.base_timeout * scale)))
+        self._timeouts = tuple(timeouts)
         self._transfers: dict[int, _Transfer] = {}
         self._transfer_of_packet: dict[int, int] = {}
         self._next_tid = 0
@@ -237,11 +249,13 @@ class EndToEndTracker:
                         retries=transfer.retries,
                     )
                 )
-        for tid in sorted(self._transfers):
-            transfer = self._transfers[tid]
+        # Transfer ids are assigned in increasing order and never
+        # re-inserted, so dict order is id order (a test pins this).
+        timeouts = self._timeouts
+        for tid, transfer in list(self._transfers.items()):
             if not transfer.pending:
                 continue  # delivered; ack in flight
-            if cycle - transfer.last_send < self._timeout(transfer.retries):
+            if cycle - transfer.last_send < timeouts[transfer.retries]:
                 continue
             self.events += 1
             if transfer.retries >= self.config.max_packet_retries:
@@ -274,15 +288,9 @@ class EndToEndTracker:
         for transfer in self._transfers.values():
             if transfer.pending:
                 candidates.append(
-                    transfer.last_send + self._timeout(transfer.retries)
+                    transfer.last_send + self._timeouts[transfer.retries]
                 )
         return min(candidates) if candidates else None
-
-    def _timeout(self, retries: int) -> int:
-        scale = min(
-            self.config.backoff_factor**retries, self.config.max_backoff_scale
-        )
-        return int(math.ceil(self.base_timeout * scale))
 
 
 __all__ = ["EndToEndTracker", "PROTOCOLS", "ProtectionConfig", "TransferRecord"]

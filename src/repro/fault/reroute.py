@@ -67,20 +67,24 @@ class AdaptiveRoutingTable:
         return src == dest or self.next_hop(src, dest) is not None
 
     def partition(
-        self, topology: Topology, node: NodeId, flit: Flit
+        self, topology: Topology, node: NodeId, flit: Flit, in_port: Port
     ) -> dict[Port, frozenset[NodeId]]:
         """Drop-in :func:`repro.noc.routing.route_ports` replacement.
 
         Unicast flits follow the alive-link table; an unreachable
         destination maps to LOCAL, which the router treats as a counted
-        discard (the escape hatch for partitions).  Multicast trees stay
-        on the XY construction — fault campaigns drive unicast traffic.
+        discard (the escape hatch for partitions).  So does a next hop
+        back out of ``in_port``: a flit that crossed a link just before
+        the link ahead died can find its new shortest path behind it,
+        and the crossbar has no u-turn crosspoint to send it there.
+        Multicast trees stay on the XY construction — fault campaigns
+        drive unicast traffic.
         """
         if len(flit.dests) > 1:
             return route_ports(topology, node, flit)
         dest = next(iter(flit.dests))
         port = self.next_hop(node, dest)
-        if port is None:
+        if port is None or port == in_port:
             return {Port.LOCAL: flit.dests}
         return {port: flit.dests}
 

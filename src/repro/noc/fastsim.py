@@ -373,7 +373,9 @@ class FastNocSimulator(NocSimulator):
             port = table[r][d]
         else:
             flit = self._ring_flit[f]
-            partition = route_fn(self.topology, self._nodes[r], flit)
+            partition = route_fn(
+                self.topology, self._nodes[r], flit, self._slot_port[s]
+            )
             ((port, _dests),) = partition.items()
             port = int(port)
         self._fr_port[s] = port

@@ -136,9 +136,9 @@ class Router:
         #: Optional fault layer (set by FaultLayer.attach): receives
         #: delivery/discard events for reliability bookkeeping.
         self.fault_layer = None
-        #: Optional routing override ``(topology, node, flit) -> partition``
-        #: used for adaptive reroute around disabled links; None = the
-        #: default dimension-order :func:`route_ports`.
+        #: Optional routing override ``(topology, node, flit, in_port) ->
+        #: partition`` used for adaptive reroute around disabled links;
+        #: None = the default dimension-order :func:`route_ports`.
         self.route_fn = None
         self._staged: list[tuple[Flit, Port, int]] = []
         self._branch_state: dict[tuple[Port, int], _BranchState] = {}
@@ -210,7 +210,7 @@ class Router:
             return flit  # multicast is single-flit by construction
         if self.node not in flit.dests or in_port == Port.LOCAL:
             return flit
-        partition = self._route(flit)
+        partition = self._route(flit, in_port)
         straight = self.topology.straight_port(self.node, in_port)
         if straight is None or straight not in partition:
             return flit
@@ -230,10 +230,12 @@ class Router:
             return None
         return flit.branch(frozenset(remaining))
 
-    def _route(self, flit: Flit) -> dict[Port, frozenset[NodeId]]:
+    def _route(
+        self, flit: Flit, in_port: Port
+    ) -> dict[Port, frozenset[NodeId]]:
         """Partition a flit's destinations by output port (overridable)."""
         if self.route_fn is not None:
-            return self.route_fn(self.topology, self.node, flit)
+            return self.route_fn(self.topology, self.node, flit, in_port)
         return route_ports(self.topology, self.node, flit)
 
     # --- route/branch state -----------------------------------------------------------
@@ -250,7 +252,7 @@ class Router:
             return None
         state = self._branch_state.get(key)
         if state is None or state.flit_id != id(front):
-            partition = self._route(front)
+            partition = self._route(front, in_port)
             branches = sorted(partition.items(), key=lambda kv: int(kv[0]))
             state = _BranchState(flit_id=id(front), branches=branches)
             self._branch_state[key] = state

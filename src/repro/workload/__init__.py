@@ -41,6 +41,7 @@ from repro.workload.generators import (
 from repro.workload.payload import (
     PAYLOAD_MODES,
     PayloadedTraffic,
+    TrafficTape,
     attach_payloads,
 )
 
@@ -176,6 +177,7 @@ __all__ = [
     "BurstyTraffic",
     "CollectiveTraffic",
     "PayloadedTraffic",
+    "TrafficTape",
     "attach_payloads",
     "build_traffic",
     "coupling_miller_fraction",

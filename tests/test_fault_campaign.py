@@ -3,6 +3,8 @@ report plumbing."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import warnings
 from dataclasses import asdict
@@ -214,3 +216,49 @@ class TestMulticastEngineFallback:
         bumped_fields = dict(self.CONFIG, multicast_fraction=0.5)
         assert base.content_hash() != \
             FaultCampaignConfig(**bumped_fields).content_hash()
+
+
+def campaign_digest(result) -> str:
+    """SHA-256 (32 hex chars) over every field of every point, with
+    floats by their exact JSON ``repr``."""
+    text = json.dumps(
+        [asdict(point) for point in result.points],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+#: Pinned whole-campaign results.  ``mesh`` and ``chiplet`` are the
+#: perfbench ``fault_mesh`` / ``fault_chiplet`` configs at seed 7 (their
+#: digests equal pool entry 0 of ``perfbench/fingerprints.json``);
+#: ``bursty`` covers the Markov on/off generator with random payloads.
+GOLDEN_CAMPAIGNS = {
+    "mesh": (
+        dict(topology="mesh", k=4, bers=(1e-6, 1e-4, 1e-3),
+             payload_mode="random", engine="fast", seed=7),
+        "9c52c95a48aae5411b1e5b8bbfef8f77",
+    ),
+    "chiplet": (
+        dict(topology="chiplet", k=2, chiplets_x=2, chiplets_y=2,
+             bers=(1e-4,), payload_mode="random", engine="fast", seed=7),
+        "da4a5937cfbb26674657a1e601b78c86",
+    ),
+    "bursty": (
+        dict(k=3, workload="bursty", injection_rate=0.06, warmup=30,
+             measure=150, bers=(1e-4, 1e-2), payload_mode="random", seed=5),
+        "d7f17a6dcdf9a96b76b8e625c012a948",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CAMPAIGNS))
+def test_campaign_golden_digest(name):
+    """Every ``FaultPointResult`` field of three whole campaigns is
+    pinned: a change to traffic, fault draws, protection or pricing
+    shows up here, inside the tier-1 suite."""
+    fields, expected = GOLDEN_CAMPAIGNS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineFallbackWarning)
+        result = run_fault_campaign(FaultCampaignConfig(**fields))
+    assert campaign_digest(result) == expected

@@ -3,10 +3,18 @@ livelock detector that backstops them."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import LivelockError, ProtocolError
-from repro.fault import FaultLayer, NoFaults, UniformBer
+from repro.fault import (
+    FaultCampaignConfig,
+    FaultLayer,
+    NoFaults,
+    UniformBer,
+    run_fault_campaign,
+)
 from repro.fault.models import DeadLinks
 from repro.fault.protection import ProtectionConfig, TransferRecord
 from repro.fault.reroute import AdaptiveRoutingTable
@@ -87,6 +95,53 @@ class TestEndToEnd:
         for record in layer.stats.transfer_records:
             assert record.retries <= protection.max_packet_retries
 
+    def test_transfer_ids_are_held_in_increasing_order(self):
+        """``begin_cycle`` walks outstanding transfers in dict order; that
+        is id order because ids are assigned increasing and never
+        re-inserted.  Check it at every cycle of a run with retries,
+        completions and failures all mixed in."""
+        protection = ProtectionConfig(protocol="e2e", max_packet_retries=2)
+        sim = NocSimulator(3, injection_rate=0.08, seed=4)
+        layer = FaultLayer(
+            DeadLinks(victims=("1,1->1,2",), fail_cycle=0), protection, seed=2
+        ).attach(sim)
+        tracker = layer.tracker
+        seen = []
+        begin_cycle = tracker.begin_cycle
+
+        def checked(cycle):
+            tids = list(tracker._transfers)
+            assert tids == sorted(tids)
+            seen.append(len(tids))
+            begin_cycle(cycle)
+
+        tracker.begin_cycle = checked
+        sim.run(warmup=30, measure=200, drain_limit=60_000)
+        assert layer.stats.packet_retries > 0
+        assert layer.stats.failed_transfers > 0
+        assert max(seen) > 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            dict(timeout_cycles=5, backoff_factor=1.5, max_backoff_scale=3.0),
+            dict(backoff_factor=1.0, max_packet_retries=3),
+            dict(max_packet_retries=2000),
+        ],
+    )
+    def test_timeout_table_matches_backoff_formula(self, fields):
+        protection = ProtectionConfig(protocol="e2e", **fields)
+        sim = NocSimulator(3, seed=4)
+        tracker = FaultLayer(NoFaults(), protection).attach(sim).tracker
+        assert len(tracker._timeouts) == protection.max_packet_retries + 1
+        for retries in range(min(protection.max_packet_retries, 40) + 1):
+            scale = min(
+                protection.backoff_factor**retries, protection.max_backoff_scale
+            )
+            expected = int(math.ceil(tracker.base_timeout * scale))
+            assert tracker._timeouts[retries] == expected
+
 
 class TestAdaptiveRoutingTable:
     def test_intact_mesh_is_exactly_xy(self):
@@ -165,6 +220,53 @@ class TestReroute:
         assert layer.stats.undeliverable_packets > 0
         # Everyone else still gets served.
         assert stats.delivered_count > 0
+
+    def test_next_hop_back_out_the_input_port_is_counted_discard(self):
+        """A flit that crossed (0,1)->(1,1) toward (1,0) just before the
+        link (1,1)->(1,0) died finds its new shortest path behind it.
+        The crossbar has no u-turn, so the route is the LOCAL discard."""
+        topology = MeshTopology(2)
+        table = AdaptiveRoutingTable(topology)
+        table.disable((1, 1), xy_route((1, 1), (1, 0)))
+        back = table.next_hop((1, 1), (1, 0))
+        assert topology.neighbor((1, 1), back) == (0, 1)
+        flit = Packet(
+            src=(0, 1), dests=frozenset({(1, 0)}), size_flits=1, inject_cycle=0
+        ).flits()[0]
+        assert table.partition(topology, (1, 1), flit, back) == {
+            Port.LOCAL: flit.dests
+        }
+        # Injected at (1,1) itself, the same detour is fine.
+        assert table.partition(topology, (1, 1), flit, Port.LOCAL) == {
+            back: flit.dests
+        }
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_small_mesh_reroute_campaign_survives_u_turns(self, engine):
+        """Regression: on a 2x2 mesh at BER 5e-2 a disabled link strands
+        a flit whose only way on is back the way it came; both engines
+        used to raise ProtocolError (u-turn through the crossbar)."""
+        config = FaultCampaignConfig(
+            k=2, bers=(1e-4, 1e-3, 1e-2, 5e-2), warmup=20, measure=80,
+            seed=8, engine=engine,
+        )
+        result = run_fault_campaign(config)
+        assert not result.failures
+        point = result.point(5e-2, "reroute")
+        assert point.links_disabled > 0
+        assert point.undeliverable_packets > 0
+
+    def test_small_mesh_reroute_campaign_engines_agree(self):
+        results = [
+            run_fault_campaign(
+                FaultCampaignConfig(
+                    k=2, bers=(5e-2,), protocols=("reroute",), warmup=20,
+                    measure=80, seed=8, engine=engine,
+                )
+            )
+            for engine in ("fast", "reference")
+        ]
+        assert results[0].points == results[1].points
 
 
 class TestLivelockDetection:
