@@ -38,7 +38,7 @@ from repro.dse import (
     fig8_study,
     sizing_study,
 )
-from repro.dse.store import RunStore, StoreError
+from repro.errors import CheckpointError
 from repro.runtime import ResultCache
 
 
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     store_path = args.store or Path("results/dse") / f"{args.study}-{args.strategy}.jsonl"
     if args.fresh and store_path.exists():
         store_path.unlink()
-    store = None if args.no_store else RunStore(store_path)
+    checkpoint = None if args.no_store else store_path
     cache = ResultCache(args.cache) if args.cache is not None else None
     strategy = build_strategy(args)
 
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         base_seed=args.seed,
         n_jobs=args.jobs,
         cache=cache,
-        store=store,
+        checkpoint=checkpoint,
         resume=args.resume,
         progress=progress,
     )
@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             mc_runs = 0 if args.mc_runs is None else args.mc_runs
             outcome = None
             result = sizing_study(mc_runs=mc_runs, **kwargs)
-    except StoreError as exc:
+    except CheckpointError as exc:
         print(f"run store: {exc}", file=sys.stderr)
         print(
             "hint: --resume continues the stored run; --fresh discards it;"
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     except KeyboardInterrupt:
-        if store is not None:
+        if checkpoint is not None:
             print(
                 f"\ninterrupted — completed evaluations are safe in {store_path};"
                 f" re-run with --resume to continue",
@@ -149,17 +149,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("\ninterrupted (no store; nothing persisted)", file=sys.stderr)
         return 130
-    finally:
-        if store is not None:
-            store.close()
 
     title = {
         "fig8": "Fig. 8 re-cast: energy vs bandwidth density",
         "sizing": "Section II re-cast: energy vs sensing margin",
     }[args.study]
     print(format_report(result, title=title))
-    if store is not None:
-        print(f"\nrun store: {store_path} ({len(store)} records)")
+    if checkpoint is not None:
+        print(f"\nrun store: {store_path} ({len(result.records)} records)")
     if cache is not None:
         print(cache.summary())
     if isinstance(outcome, Fig8Outcome):

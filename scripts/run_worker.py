@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.runtime import ResilienceConfig, ResultCache
+from repro.runtime import ResultCache
 from repro.service import run_worker
 
 
@@ -46,16 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="shared ResultCache directory (content-addressed "
                         "task payload reuse across workers and campaigns)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="executor processes inside this worker "
-                        "(default 1; the usual scale-out axis is more "
-                        "workers, not more jobs)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    resilience = ResilienceConfig(timeout=args.timeout)
     cache = ResultCache(args.cache) if args.cache else None
     report = run_worker(
         args.db,
@@ -66,9 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         max_tasks=args.max_tasks,
         drain=args.drain,
         max_attempts=args.max_attempts,
-        resilience=resilience,
+        timeout=args.timeout,
         cache=cache,
-        n_jobs=args.jobs,
     )
     print(
         f"worker {report.worker_id}: {report.tasks_done} done, "

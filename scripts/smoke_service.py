@@ -13,8 +13,8 @@ uninterrupted single-process ``run_fault_campaign`` baseline built from
 the stored config.  Exits nonzero on any mismatch.
 
 * ``kill-worker`` (default): two workers drain a 16-task campaign and
-  one is SIGKILLed while it provably holds a lease — the hardest
-  interrupt there is, no cleanup code runs.  The survivor waits out the
+  one is SIGKILLed while it provably holds a lease (the other starts
+  once it does) — the hardest interrupt there is, no cleanup code runs.  The survivor waits out the
   dead worker's lease expiry, re-leases its row, and finishes.
 * ``topology``: a tiny non-mesh campaign (``--topology``, default
   torus) submitted with the ``--topology`` overlay flag; the stored
@@ -109,9 +109,11 @@ def leased_by(db_path: Path, worker_id: str) -> int:
 
 def drain_killing_victim(db_path: Path, lease_seconds: float, deadline: float) -> None:
     """Two workers; SIGKILL the victim once it provably holds a lease, so
-    the expiry-recovery path is genuinely exercised."""
+    the expiry-recovery path is genuinely exercised.  The survivor starts
+    only then: started together, it can drain the whole campaign before
+    the victim's first lease."""
     victim = spawn_worker(db_path, "victim", lease_seconds)
-    survivor = spawn_worker(db_path, "survivor", lease_seconds)
+    survivor = None
     try:
         while leased_by(db_path, "victim") == 0:
             if victim.poll() is not None:
@@ -119,13 +121,14 @@ def drain_killing_victim(db_path: Path, lease_seconds: float, deadline: float) -
             if time.monotonic() > deadline:
                 raise SmokeFailure("victim never leased a task")
             time.sleep(0.05)
+        survivor = spawn_worker(db_path, "survivor", lease_seconds)
         victim.send_signal(signal.SIGKILL)
         victim.wait()
         print(f"SIGKILLed victim holding {leased_by(db_path, 'victim')} lease(s)")
         wait_drained(survivor, "survivor", deadline)
     finally:
         for proc in (victim, survivor):
-            if proc.poll() is None:
+            if proc is not None and proc.poll() is None:
                 proc.kill()
 
 

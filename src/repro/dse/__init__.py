@@ -15,9 +15,8 @@ engine:
   Latin-hypercube and NSGA-II searches, all deterministic per seed;
 * :mod:`repro.dse.engine` — the ask/evaluate/tell loop: parallel batch
   evaluation through :class:`repro.runtime.ParallelExecutor`,
-  content-addressed per-candidate seeds, result-cache reuse;
-* :mod:`repro.dse.store` — the crash-safe JSONL run store behind
-  checkpoint/resume;
+  content-addressed per-candidate seeds, result-cache reuse, and
+  checkpoint/resume through :class:`repro.runtime.CheckpointStore`;
 * :mod:`repro.dse.studies` — the paper's Fig. 8 and Section II claims
   re-cast as DSE studies;
 * :mod:`repro.dse.report` — front tables and run summaries.
@@ -31,6 +30,7 @@ interaction) are specified in docs/DSE.md.
 from repro.dse.engine import (
     DseEngine,
     DseResult,
+    EvalRecord,
     candidate_key,
     candidate_seed,
     run_dse,
@@ -64,7 +64,6 @@ from repro.dse.space import (
     log,
     space_from_spec,
 )
-from repro.dse.store import EvalRecord, RunStore, StoreError, git_provenance
 from repro.dse.strategies import (
     GridStrategy,
     LhsStrategy,
@@ -97,11 +96,9 @@ __all__ = [
     "Objective",
     "ParamSpace",
     "Parameter",
-    "RunStore",
     "SearchStrategy",
     "EVALUATORS",
     "SizingEvaluator",
-    "StoreError",
     "Zdt1Evaluator",
     "make_evaluator",
     "candidate_key",
@@ -115,7 +112,6 @@ __all__ = [
     "format_front",
     "format_report",
     "format_summary",
-    "git_provenance",
     "hypervolume",
     "infeasible_vector",
     "log",

@@ -4,8 +4,8 @@
 through ask/evaluate/tell rounds.  Each asked batch is resolved in three
 tiers, cheapest first:
 
-1. **store replay** — the run store already holds this candidate (a
-   resumed search, or a strategy re-proposing a known point);
+1. **replay** — the search already met this candidate, or the
+   checkpoint store holds it (a resumed search);
 2. **result cache** — an optional cross-run
    :class:`~repro.runtime.ResultCache` entry under the same content key;
 3. **evaluation** — remaining candidates fan out together through one
@@ -20,6 +20,11 @@ executions interchangeable: a fresh run, a cache-warm run and a resumed
 run all produce bitwise-identical records and therefore identical
 fronts.
 
+With ``checkpoint=`` (a path) every record is persisted, as
+``asdict(record)``, to a :class:`~repro.runtime.CheckpointStore` the
+moment its batch resolves; ``resume=True`` replays a store bound to the
+same run configuration (:meth:`DseEngine.run_config`).
+
 Constraint-infeasible candidates are recorded without spending a
 simulation; model-rejected ones (:class:`InfeasibleDesign`) are recorded
 with the rejection reason.  Both enter the strategy as all-``inf``
@@ -29,7 +34,8 @@ vectors and can never appear in the reported front.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.dse.objectives import (
     InfeasibleDesign,
@@ -39,17 +45,32 @@ from repro.dse.objectives import (
 )
 from repro.dse.pareto import hypervolume, pareto_front_indices
 from repro.dse.space import ParamSpace
-from repro.dse.store import EvalRecord, RunStore
 from repro.dse.strategies import SearchStrategy
 from repro.errors import ConfigurationError
 from repro.runtime import (
     MISS,
+    CheckpointStore,
     ParallelExecutor,
     ResultCache,
     content_key,
     derived_seed,
     stable_token,
 )
+
+
+@dataclass(frozen=True)
+class EvalRecord:
+    """One completed candidate evaluation."""
+
+    key: str  # content hash of (evaluator, params, seed)
+    generation: int
+    index: int  # position within its generation's batch
+    params: dict[str, float]
+    seed: int
+    feasible: bool
+    objectives: dict[str, float]  # named metric values ({} when infeasible)
+    reason: str = ""  # why infeasible (empty when feasible)
+    elapsed: float = 0.0
 
 
 def candidate_key(evaluator, params: dict[str, float], seed: int) -> str:
@@ -85,7 +106,7 @@ class DseResult:
     front: list[EvalRecord]  # feasible non-dominated records
     generations: int
     n_evaluated: int  # computed fresh this run
-    n_replayed: int  # served from the run store
+    n_replayed: int  # served from the checkpoint store
     n_cache_hits: int  # served from the cross-run result cache
     elapsed: float
 
@@ -118,13 +139,14 @@ class DseEngine:
     n_jobs: int | None = 1
     executor: ParallelExecutor | None = None
     cache: ResultCache | None = None
-    store: RunStore | None = None
+    checkpoint: str | Path | None = None
     progress: object | None = None  # callable(generation, n_new, n_total)
+    _store: CheckpointStore | None = field(default=None, init=False, repr=False)
     _by_key: dict[str, EvalRecord] = field(default_factory=dict, repr=False)
     _order: list[str] = field(default_factory=list, repr=False)
 
     def run_config(self) -> dict:
-        """The configuration a run store binds to (resume compatibility)."""
+        """The configuration a checkpoint binds to (resume compatibility)."""
         return {
             "space": self.space.spec(),
             "evaluator": stable_token(self.evaluator),
@@ -138,14 +160,25 @@ class DseEngine:
     def run(self, resume: bool = False) -> DseResult:
         """Execute the search to completion and report the front.
 
-        ``resume=True`` continues a store written by an identical
+        ``resume=True`` continues a checkpoint written by an identical
         configuration: the strategy loop replays deterministically, so
-        stored candidates short-circuit and only missing work runs.
+        stored candidates short-circuit and only missing work runs.  The
+        store is closed on every exit path; each record was fsynced as
+        it landed, so an exception loses no completed evaluation.
         """
+        if self.checkpoint is None:
+            return self._run()
+        self._store = CheckpointStore(self.checkpoint)
+        try:
+            self._store.begin(self.run_config(), resume=resume)
+            return self._run()
+        finally:
+            self._store.close()
+            self._store = None
+
+    def _run(self) -> DseResult:
         t_start = time.perf_counter()
         executor = self.executor or ParallelExecutor(n_jobs=self.n_jobs)
-        if self.store is not None:
-            self.store.begin(self.run_config(), resume=resume)
         self._by_key.clear()
         self._order.clear()
         n_evaluated = n_replayed = cache_hits_before = 0
@@ -209,9 +242,10 @@ class DseEngine:
             seed = candidate_seed(self.base_seed, params)
             key = candidate_key(self.evaluator, params, seed)
             record = self._by_key.get(key)
-            if record is None and self.store is not None:
-                record = self.store.get(key)
-                if record is not None:
+            if record is None and self._store is not None:
+                payload = self._store.get(key)
+                if payload is not None:
+                    record = EvalRecord(**payload)
                     replayed += 1
             if record is not None:
                 resolved[i] = record
@@ -238,8 +272,8 @@ class DseEngine:
             if record.key not in self._by_key:
                 self._by_key[record.key] = record
                 self._order.append(record.key)
-                if self.store is not None:
-                    self.store.append(record)
+                if self._store is not None:
+                    self._store.append(record.key, asdict(record))
         return records, fresh, replayed
 
     def _evaluate_pending(
@@ -338,7 +372,7 @@ def run_dse(
     base_seed: int = 2013,
     n_jobs: int | None = 1,
     cache: ResultCache | None = None,
-    store: RunStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
     progress=None,
 ) -> DseResult:
@@ -350,7 +384,7 @@ def run_dse(
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
-        store=store,
+        checkpoint=checkpoint,
         progress=progress,
     )
     return engine.run(resume=resume)
@@ -359,6 +393,7 @@ def run_dse(
 __all__ = [
     "DseEngine",
     "DseResult",
+    "EvalRecord",
     "candidate_key",
     "candidate_seed",
     "run_dse",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_kv, format_table
 from repro.dse.engine import DseResult
-from repro.dse.store import EvalRecord
+from repro.dse.engine import EvalRecord
 
 
 def _fmt(value: float) -> str:

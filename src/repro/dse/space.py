@@ -5,7 +5,7 @@ log-scaled or discrete, each with bounds — plus optional *constraints*:
 boolean expressions over the parameter names (``"m1_width_um >= 10 *
 m2_width_um"``) evaluated on every candidate before it is spent on a
 simulation.  Constraints are plain strings so that a space serializes
-losslessly into the run store and hashes stably into cache keys.
+losslessly into the checkpoint store and hashes stably into cache keys.
 
 Search strategies operate on the **unit cube**: every candidate is a
 vector in ``[0, 1]^d`` that :meth:`ParamSpace.decode` maps to physical
@@ -13,7 +13,7 @@ values (linear, log10 or index interpolation per parameter kind).  The
 decode is the single source of truth for rounding/snapping, so a grid
 point, an LHS sample and an NSGA-II offspring all land on identical
 physical values when they coincide in the cube — which is what makes the
-content-addressed evaluation cache and run-store replay effective.
+content-addressed evaluation cache and checkpoint replay effective.
 """
 
 from __future__ import annotations

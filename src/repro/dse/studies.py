@@ -21,6 +21,7 @@ can inspect every evaluated candidate, not just the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.circuit.srlr import DEFAULT_NOMINAL_SWING
 from repro.dse import space as sp
@@ -32,7 +33,6 @@ from repro.dse.objectives import (
     signed_vector,
 )
 from repro.dse.pareto import pareto_front_indices
-from repro.dse.store import RunStore
 from repro.dse.strategies import Nsga2Strategy, SearchStrategy
 from repro.energy.baselines import table1_designs
 from repro.runtime import ResultCache
@@ -93,7 +93,7 @@ def topology_study(
     n_jobs: int | None = 1,
     k: int = 4,
     cache: ResultCache | None = None,
-    store: RunStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
     progress=None,
 ) -> DseResult:
@@ -111,7 +111,7 @@ def topology_study(
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
-        store=store,
+        checkpoint=checkpoint,
         progress=progress,
     )
     return engine.run(resume=resume)
@@ -144,7 +144,7 @@ def fig8_study(
     n_jobs: int | None = 1,
     mc_runs: int = 40,
     cache: ResultCache | None = None,
-    store: RunStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
     progress=None,
 ) -> Fig8Outcome:
@@ -164,7 +164,7 @@ def fig8_study(
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
-        store=store,
+        checkpoint=checkpoint,
         progress=progress,
     )
     result = engine.run(resume=resume)
@@ -221,7 +221,7 @@ def sizing_study(
     n_jobs: int | None = 1,
     mc_runs: int = 0,
     cache: ResultCache | None = None,
-    store: RunStore | None = None,
+    checkpoint: str | Path | None = None,
     resume: bool = False,
     progress=None,
 ) -> DseResult:
@@ -234,7 +234,7 @@ def sizing_study(
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
-        store=store,
+        checkpoint=checkpoint,
         progress=progress,
     )
     return engine.run(resume=resume)

@@ -164,6 +164,20 @@ def run_from_payload(payload: dict) -> McRun:
     )
 
 
+def check_campaign(n_runs: int, bit_period: float, pattern) -> None:
+    """Reject a Monte Carlo configuration that would fail inside every die.
+
+    The one set of checks behind :func:`run_monte_carlo` and the service's
+    ``monte_carlo`` adapter, so a bad config fails where it is given.
+    """
+    if n_runs < 1:
+        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    if bit_period <= 0.0:
+        raise ConfigurationError(f"bit_period must be positive, got {bit_period}")
+    if any(bit not in (0, 1) for bit in pattern):
+        raise ConfigurationError("pattern bits must be 0/1")
+
+
 def run_monte_carlo(
     design: SRLRDesignParams,
     n_runs: int = 1000,
@@ -205,11 +219,8 @@ def run_monte_carlo(
     uninterrupted one.  Every die depends only on its own seed, which is
     why replayed and recomputed dies mix freely.
     """
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    if bit_period <= 0.0:
-        raise ConfigurationError(f"bit_period must be positive, got {bit_period}")
     pattern = default_stress_pattern() if pattern is None else pattern
+    check_campaign(n_runs, bit_period, pattern)
     seeds = make_seeds(base_seed, n_runs, seed_scheme)
 
     campaign_key = content_key(
@@ -325,6 +336,7 @@ __all__ = [
     "ImmunityRatio",
     "McResult",
     "McRun",
+    "check_campaign",
     "default_stress_pattern",
     "immunity_ratio",
     "run_from_payload",

@@ -7,7 +7,7 @@ per-task seed streams, lightweight progress metrics, an opt-in on-disk
 result cache keyed by a content hash of the inputs, a fault-tolerant
 task layer (timeouts, deterministic retries, worker-crash recovery,
 poison-task quarantine — :mod:`repro.runtime.resilience`), and
-crash-safe JSONL checkpoint stores plus the one checkpointed task loop
+the crash-safe JSONL checkpoint store plus the one checkpointed task loop
 (:func:`run_checkpointed`) that gives every long-running campaign
 ``checkpoint=``/``resume=`` (:mod:`repro.runtime.checkpoint`).
 """
@@ -22,7 +22,6 @@ from repro.runtime.cache import (
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
-    JsonlCheckpointBase,
     callable_token,
     git_provenance,
     run_checkpointed,
@@ -54,7 +53,6 @@ __all__ = [
     "CheckpointStore",
     "ChunkRecord",
     "FAILURE_KINDS",
-    "JsonlCheckpointBase",
     "MISS",
     "ParallelExecutor",
     "ProgressHook",

@@ -1,15 +1,14 @@
-"""Crash-safe JSONL checkpoint stores for long-running campaigns.
+"""The crash-safe JSONL checkpoint store every long-running campaign uses.
 
-Generalizes the machinery the design-space run store
-(:mod:`repro.dse.store`) proved out, so *every* campaign — Monte Carlo,
-sweeps, fault campaigns, searches — can gain ``checkpoint=``/``resume=``
-with identical crash semantics:
+Monte Carlo, sweeps, fault campaigns and design-space searches all gain
+``checkpoint=``/``resume=`` through :class:`CheckpointStore`, with one
+set of crash semantics:
 
 * one header line binds the file to a run configuration (via a content
   hash), then one line per completed unit of work, flushed and fsynced
   as it lands — a process killed at any instant (``SIGKILL``, OOM,
   Ctrl-C) leaves at most one truncated final line;
-* :meth:`JsonlCheckpointBase.load` drops a torn or corrupt *final* line
+* :meth:`CheckpointStore.load` drops a torn or corrupt *final* line
   silently (the expected crash residue) and physically truncates it
   before the next append; corruption earlier in the file drops the
   untrustworthy tail with a warning;
@@ -22,13 +21,11 @@ with identical crash semantics:
   (:mod:`repro.runtime.seeds`), is what makes an interrupted-and-resumed
   campaign converge to the exact result of an uninterrupted one.
 
-:class:`JsonlCheckpointBase` carries the shared plumbing;
-:class:`CheckpointStore` is the generic key->payload instantiation, and
-:func:`run_checkpointed` is the one replay -> map -> persist loop over it
-that ``run_monte_carlo``, ``sweep``/``sweep_grid`` and
-``run_fault_campaign`` all run; the DSE's
-:class:`~repro.dse.store.RunStore` subclasses the base with its richer
-record type.
+:func:`run_checkpointed` is the replay -> map -> persist loop over the
+store that ``run_monte_carlo``, ``sweep``/``sweep_grid`` and
+``run_fault_campaign`` run; the DSE engine
+(:class:`repro.dse.engine.DseEngine`) stores each evaluation record as a
+payload of the same store.
 """
 
 from __future__ import annotations
@@ -105,42 +102,36 @@ def _identity(value: Any) -> Any:
     return value
 
 
-class JsonlCheckpointBase:
-    """Shared append-only JSONL store plumbing (see module docstring).
+class CheckpointStore:
+    """The campaign checkpoint: string key -> JSON payload dict.
 
-    Subclasses set :attr:`RECORD_KIND` / :attr:`CONFIG_NAMESPACE` /
-    :attr:`error_cls` and implement ``_decode_record`` /
-    ``_encode_record`` for their record type.
+    Usage::
+
+        store = CheckpointStore(path)
+        store.begin(config, resume=False)   # writes the header
+        store.append(key, payload)          # durable immediately
+        payload = store.get(key)            # replay lookup
+        store.close()
+
+    ``begin(config, resume=True)`` loads an existing file instead,
+    verifies its header matches ``config``, truncates any torn final
+    line, and positions for appending.
     """
 
-    VERSION = CHECKPOINT_VERSION
-    RECORD_KIND = "record"
-    CONFIG_NAMESPACE = "checkpoint-config/v1"
-    error_cls: type[CheckpointError] = CheckpointError
-
-    def __init__(self, path: str | Path, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self.header: dict | None = None
         self._records: dict[str, Any] = {}
         self._order: list[str] = []
         self._fh = None
         self._good_bytes = 0
 
-    # --- record codec (subclass hooks) ------------------------------------------------
-
-    def _decode_record(self, payload: dict) -> tuple[str, Any]:
-        """``(key, object)`` from one parsed record line."""
-        raise NotImplementedError
-
-    def _encode_record(self, key: str, obj: Any) -> dict:
-        """The JSON body (sans ``kind``) for one record line."""
-        raise NotImplementedError
-
-    @classmethod
-    def config_key(cls, config: dict) -> str:
+    @staticmethod
+    def config_key(config: dict) -> str:
         """The identity hash of a run configuration (what resume checks)."""
-        return content_key(cls.CONFIG_NAMESPACE, json.dumps(config, sort_keys=True))
+        return content_key(
+            "campaign-checkpoint/v1", json.dumps(config, sort_keys=True)
+        )
 
     # --- reading ----------------------------------------------------------------------
 
@@ -171,16 +162,17 @@ class JsonlCheckpointBase:
                 if kind == "header":
                     if self.header is not None:
                         raise ValueError("duplicate header")
-                    if payload.get("version") != self.VERSION:
-                        raise self.error_cls(
-                            f"store version {payload.get('version')} != {self.VERSION}"
+                    if payload.get("version") != CHECKPOINT_VERSION:
+                        raise CheckpointError(
+                            f"store version {payload.get('version')}"
+                            f" != {CHECKPOINT_VERSION}"
                         )
                     self.header = payload
-                elif kind == self.RECORD_KIND:
-                    key, obj = self._decode_record(payload)
+                elif kind == "record":
+                    key = str(payload["key"])
                     if key not in self._records:
                         self._order.append(key)
-                    self._records[key] = obj
+                    self._records[key] = payload["payload"]
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except CheckpointError:
@@ -197,7 +189,7 @@ class JsonlCheckpointBase:
             offset = end
             self._good_bytes = offset
         if self.header is None and self._records:
-            raise self.error_cls(f"{self.path}: has records but no header line")
+            raise CheckpointError(f"{self.path}: has records but no header line")
 
     # --- writing ----------------------------------------------------------------------
 
@@ -205,7 +197,7 @@ class JsonlCheckpointBase:
         """Open for appending: fresh header, or verified resume."""
         exists = self.path.exists() and self.path.stat().st_size > 0
         if exists and not resume:
-            raise self.error_cls(
+            raise CheckpointError(
                 f"{self.path} already holds a run; pass resume=True to continue"
                 " it (or choose another path)"
             )
@@ -213,11 +205,11 @@ class JsonlCheckpointBase:
         if exists:
             self.load()
             if self.header is None:
-                raise self.error_cls(
+                raise CheckpointError(
                     f"{self.path}: no intact header to resume from"
                 )
             if self.header.get("config_key") != self.config_key(config):
-                raise self.error_cls(
+                raise CheckpointError(
                     f"{self.path} was written by a different run configuration;"
                     " refusing to mix records (use a fresh store path)"
                 )
@@ -227,7 +219,7 @@ class JsonlCheckpointBase:
         else:
             self.header = {
                 "kind": "header",
-                "version": self.VERSION,
+                "version": CHECKPOINT_VERSION,
                 "config": config,
                 "config_key": self.config_key(config),
                 "git": git_provenance(),
@@ -235,22 +227,24 @@ class JsonlCheckpointBase:
             self._fh = open(self.path, "wb")
             self._write_line(self.header)
 
-    def _append_obj(self, key: str, obj: Any) -> None:
-        """Durably persist one record (idempotent per key)."""
+    def append(self, key: str, payload: Any) -> None:
+        """Durably persist one completed unit of work (idempotent per key).
+
+        ``payload`` must be JSON-serializable; floats round-trip exactly.
+        """
         if self._fh is None:
-            raise self.error_cls("store is not open; call begin() first")
+            raise CheckpointError("store is not open; call begin() first")
         if key in self._records:
             return
-        self._records[key] = obj
+        self._records[key] = payload
         self._order.append(key)
-        self._write_line({"kind": self.RECORD_KIND, **self._encode_record(key, obj)})
+        self._write_line({"kind": "record", "key": key, "payload": payload})
 
     def _write_line(self, payload: dict) -> None:
         line = json.dumps(payload, sort_keys=True).encode() + b"\n"
         self._fh.write(line)
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         self._good_bytes += len(line)
 
     # --- lookup -----------------------------------------------------------------------
@@ -268,10 +262,9 @@ class JsonlCheckpointBase:
         """All record keys in first-seen order."""
         return list(self._order)
 
-    @property
-    def records(self) -> list[Any]:
-        """All records in first-seen order."""
-        return [self._records[k] for k in self._order]
+    def items(self) -> list[tuple[str, Any]]:
+        """(key, payload) pairs in first-seen order."""
+        return [(k, self._records[k]) for k in self._order]
 
     def close(self) -> None:
         if self._fh is not None:
@@ -283,43 +276,6 @@ class JsonlCheckpointBase:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class CheckpointStore(JsonlCheckpointBase):
-    """The generic campaign checkpoint: string key -> JSON payload dict.
-
-    Usage::
-
-        store = CheckpointStore(path)
-        store.begin(config, resume=False)   # writes the header
-        store.append(key, payload)          # durable immediately
-        payload = store.get(key)            # replay lookup
-        store.close()
-
-    ``begin(config, resume=True)`` loads an existing file instead,
-    verifies its header matches ``config``, truncates any torn final
-    line, and positions for appending.
-    """
-
-    RECORD_KIND = "record"
-    CONFIG_NAMESPACE = "campaign-checkpoint/v1"
-
-    def _decode_record(self, payload: dict) -> tuple[str, Any]:
-        return str(payload["key"]), payload["payload"]
-
-    def _encode_record(self, key: str, obj: Any) -> dict:
-        return {"key": key, "payload": obj}
-
-    def append(self, key: str, payload: Any) -> None:
-        """Durably persist one completed unit of work (idempotent per key).
-
-        ``payload`` must be JSON-serializable; floats round-trip exactly.
-        """
-        self._append_obj(key, payload)
-
-    def items(self) -> list[tuple[str, Any]]:
-        """(key, payload) pairs in first-seen order."""
-        return [(k, self._records[k]) for k in self._order]
 
 
 def run_checkpointed(
@@ -385,7 +341,6 @@ def run_checkpointed(
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointStore",
-    "JsonlCheckpointBase",
     "callable_token",
     "git_provenance",
     "run_checkpointed",

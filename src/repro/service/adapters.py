@@ -39,8 +39,8 @@ from typing import Any, Callable
 
 from repro.analysis.sweep import GridResult, collect_metrics, grid_points
 from repro.circuit.srlr import robust_design, straightforward_design
-from repro.dse.engine import candidate_key, candidate_seed
-from repro.dse.objectives import InfeasibleDesign, make_evaluator
+from repro.dse.engine import _evaluate_task, candidate_key, candidate_seed
+from repro.dse.objectives import make_evaluator
 from repro.energy.link_energy import srlr_link_energy
 from repro.errors import ConfigurationError, ServiceError
 from repro.fault.campaign import (
@@ -54,6 +54,7 @@ from repro.fault.campaign import (
 from repro.noc.trace import trace_file_hash
 from repro.mc.engine import (
     McResult,
+    check_campaign,
     default_stress_pattern,
     run_from_payload,
     run_payload,
@@ -123,10 +124,7 @@ class MonteCarloAdapter(CampaignAdapter):
                 f"unknown design {design!r}; choose from {sorted(DESIGNS)}"
             )
         config.setdefault("design_kwargs", {})
-        n_runs = int(config.setdefault("n_runs", 1000))
-        if n_runs < 1:
-            raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        config["n_runs"] = n_runs
+        config["n_runs"] = int(config.setdefault("n_runs", 1000))
         config.setdefault("base_seed", 2013)
         config.setdefault("seed_scheme", "sequential")
         config.setdefault("bit_period", 1.0 / 4.1e9)
@@ -134,6 +132,7 @@ class MonteCarloAdapter(CampaignAdapter):
         pattern = config.setdefault("pattern", None)
         if pattern is None:
             config["pattern"] = default_stress_pattern()
+        check_campaign(config["n_runs"], config["bit_period"], config["pattern"])
         config["pattern"] = [int(b) for b in config["pattern"]]
         block = int(config.setdefault("block_size", 16))
         if block < 1:
@@ -442,14 +441,12 @@ class DseBatchAdapter(CampaignAdapter):
         return tasks
 
     def run_task(self, config: dict, spec: dict) -> dict:
-        evaluator = self._evaluator(config)
         params = {str(k): float(v) for k, v in spec["params"].items()}
-        try:
-            metrics = evaluator(params, int(spec["seed"]))
-            return {"metrics": {k: float(v) for k, v in metrics.items()},
-                    "reason": ""}
-        except InfeasibleDesign as exc:
-            return {"metrics": {}, "reason": str(exc)}
+        metrics, reason = _evaluate_task(
+            (self._evaluator(config), params, int(spec["seed"]))
+        )
+        return {"metrics": {k: float(v) for k, v in metrics.items()},
+                "reason": reason}
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> DseBatchResult:
         records = []

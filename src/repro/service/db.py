@@ -6,8 +6,8 @@ a parameter-grid sweep, a DSE candidate batch, a fault campaign — see
 submission time.  N worker processes — on this machine or any machine
 sharing the file — pull open rows, execute them, and write results
 back.  This is the multi-user, multi-machine generalization of the
-single-process JSONL checkpoint stores
-(:class:`repro.runtime.checkpoint.JsonlCheckpointBase`): same content-
+single-process JSONL checkpoint store
+(:class:`repro.runtime.checkpoint.CheckpointStore`): same content-
 hash configuration identity, same exact-float JSON payloads, same
 bitwise-deterministic replay semantics.
 
@@ -16,7 +16,7 @@ Identity
 A campaign is identified by a user-facing *name* and a content hash of
 its canonical configuration (``config_key``, the same
 ``content_key(namespace, canonical-json)`` construction as
-``JsonlCheckpointBase.config_key``).  Resubmitting a byte-identical
+``CheckpointStore.config_key``).  Resubmitting a byte-identical
 configuration under the same name attaches to the existing rows (a pure
 no-op once all tasks are done); submitting a *changed* configuration
 under an existing name raises :class:`repro.errors.CampaignMismatchError`
@@ -66,7 +66,8 @@ from repro.runtime.cache import content_key
 SCHEMA_VERSION = 1
 
 #: Namespace of campaign configuration content hashes (the service-side
-#: analogue of ``JsonlCheckpointBase.CONFIG_NAMESPACE``).
+#: analogue of the ``campaign-checkpoint/v1`` namespace of
+#: ``CheckpointStore.config_key``).
 CONFIG_NAMESPACE = "campaign-service/v1"
 
 #: Task row lifecycle.

@@ -9,14 +9,16 @@ queue.  The loop:
    ``lease_seconds / 3`` while the task computes, so long tasks never
    expire under a live worker — and a SIGKILLed worker's rows return to
    the queue one lease period later with no cleanup;
-3. the task executes through :class:`repro.runtime.ParallelExecutor`
-   with a :class:`repro.runtime.ResilienceConfig` — the same soft
-   timeouts, deterministic retries and quarantine semantics every
-   in-process campaign uses;
+3. the task executes once, in-process, through
+   :class:`repro.runtime.ParallelExecutor` under a
+   :class:`repro.runtime.ResilienceConfig` with the optional soft
+   ``timeout`` and no in-process retries: an exception or timeout
+   becomes a :class:`~repro.runtime.TaskFailure`;
 4. :meth:`CampaignDB.complete` commits the payload under the lease-owner
    guard (a lost race after an expiry is counted, not an error — the
    winner's payload is byte-identical), or :meth:`CampaignDB.fail`
-   requeues/parks a task that exhausted its budget.
+   requeues the task, or parks it once its ``max_attempts`` leases are
+   spent — the queue's attempt count is the only retry budget.
 
 An optional shared :class:`repro.runtime.ResultCache` short-circuits
 tasks whose ``(kind, campaign config hash, task key)`` content identity
@@ -119,9 +121,8 @@ def run_worker(
     max_tasks: int | None = None,
     drain: bool = False,
     max_attempts: int = 3,
-    resilience: ResilienceConfig | None = None,
+    timeout: float | None = None,
     cache: ResultCache | None = None,
-    n_jobs: int | None = 1,
 ) -> WorkerReport:
     """Pull and execute tasks until stopped (see module docstring).
 
@@ -129,14 +130,15 @@ def run_worker(
     whole database) is settled — it keeps polling while rows are leased
     elsewhere, so a drain-mode worker outlives a crashed peer and picks
     up its expired leases.  ``max_tasks`` bounds the number of leases
-    this call executes (testing / fair-share).  ``resilience`` defaults
-    to the stock :class:`ResilienceConfig` (2 deterministic in-process
-    retries, no timeout); DB-level ``attempts`` (``max_attempts``) guard
-    the queue on top of that.
+    this call executes (testing / fair-share).  ``timeout`` is the soft
+    per-task budget in seconds (``None``: unbounded).  A task that
+    raises or times out runs exactly ``max_attempts`` times in all,
+    once per lease, before its row is parked as failed.
     """
     worker_id = worker_id or default_worker_id()
-    resilience = resilience or ResilienceConfig()
-    executor = ParallelExecutor(n_jobs=n_jobs, resilience=resilience)
+    executor = ParallelExecutor(
+        resilience=ResilienceConfig(timeout=timeout, max_retries=0)
+    )
     report = WorkerReport(worker_id=worker_id)
     db = CampaignDB(db_path)
     heartbeat = _Heartbeat(db_path, worker_id, lease_seconds)

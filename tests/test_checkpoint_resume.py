@@ -27,6 +27,7 @@ from repro.fault import campaign as fault_campaign
 from repro.mc import engine as mc_engine
 from repro.mc.engine import run_monte_carlo
 from repro.runtime import (
+    CHECKPOINT_VERSION,
     CheckpointStore,
     ParallelExecutor,
     ResilienceConfig,
@@ -114,6 +115,48 @@ def test_append_is_idempotent_per_key(tmp_path):
         store.append("a", {"v": 999})  # ignored: first write wins
         assert store.get("a") == {"v": 1}
         assert len(store) == 1
+
+
+def test_header_binds_config_version_and_key(tmp_path):
+    path = tmp_path / "store.jsonl"
+    with CheckpointStore(path) as store:
+        store.begin({"case": "header"})
+    fresh = CheckpointStore(path)
+    fresh.load()
+    assert fresh.header["config"] == {"case": "header"}
+    assert fresh.header["config_key"] == CheckpointStore.config_key({"case": "header"})
+    assert fresh.header["version"] == CHECKPOINT_VERSION
+
+
+def test_unterminated_tail_dropped_even_if_parseable(tmp_path):
+    """A line without its newline is not durable, valid JSON or not."""
+    path = tmp_path / "store.jsonl"
+    with CheckpointStore(path) as store:
+        store.begin({"kind": "t"})
+        store.append("a", {"v": 1})
+    torn = {"kind": "record", "key": "b", "payload": {"v": 2}}
+    with open(path, "ab") as fh:
+        fh.write(json.dumps(torn).encode())  # complete JSON, no newline
+
+    fresh = CheckpointStore(path)
+    fresh.load()
+    assert fresh.keys() == ["a"]
+
+    # Resuming truncates the torn bytes so the next append can't splice.
+    fresh.begin({"kind": "t"}, resume=True)
+    fresh.append("c", {"v": 3})
+    fresh.close()
+    reread = CheckpointStore(path)
+    reread.load()
+    assert reread.items() == [("a", {"v": 1}), ("c", {"v": 3})]
+
+
+def test_records_without_header_refused(tmp_path):
+    path = tmp_path / "store.jsonl"
+    line = {"kind": "record", "key": "a", "payload": {"v": 1}}
+    path.write_bytes(json.dumps(line).encode() + b"\n")
+    with pytest.raises(CheckpointError, match="no header"):
+        CheckpointStore(path).load()
 
 
 def test_callable_token_distinguishes_functions_and_partials():

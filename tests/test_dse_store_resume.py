@@ -1,14 +1,17 @@
-"""Run-store crash semantics and search resume equivalence.
+"""Search resume equivalence through the campaign checkpoint store.
 
-The central claim (ISSUE satellite): kill a search mid-generation —
-i.e. drop an arbitrary suffix of the store, possibly leaving a torn
-final line — resume it, and the final front is *identical* to the
-uninterrupted run with the same seed.
+The central claim: kill a search mid-generation — i.e. drop an
+arbitrary suffix of the store, possibly leaving a torn final line —
+resume it, and the final front is *identical* to the uninterrupted run
+with the same seed.  The store's crash mechanics are tested on generic
+payloads in tests/test_checkpoint_resume.py; the store cases here use
+``EvalRecord`` payloads.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -17,13 +20,12 @@ from repro.dse import (
     LhsStrategy,
     Nsga2Strategy,
     ParamSpace,
-    RunStore,
-    StoreError,
     Zdt1Evaluator,
     continuous,
     run_dse,
 )
-from repro.dse.store import STORE_VERSION, run_config_key
+from repro.errors import CheckpointError
+from repro.runtime import CheckpointStore, content_key
 
 
 def _space(d: int = 3) -> ParamSpace:
@@ -42,10 +44,10 @@ def _store_lines(path) -> list[bytes]:
     return path.read_bytes().split(b"\n")[:-1]
 
 
-# --- store mechanics -------------------------------------------------------------------
+# --- records in the store --------------------------------------------------------------
 
 
-def test_store_roundtrip(tmp_path):
+def test_eval_record_roundtrips_through_store_payload(tmp_path):
     path = tmp_path / "run.jsonl"
     record = EvalRecord(
         key="k1",
@@ -58,60 +60,29 @@ def test_store_roundtrip(tmp_path):
         reason="",
         elapsed=0.5,
     )
-    with RunStore(path) as store:
+    with CheckpointStore(path) as store:
         store.begin({"case": "roundtrip"})
-        store.append(record)
-        store.append(record)  # idempotent per key
-        assert len(store) == 1
-
-    fresh = RunStore(path)
+        store.append(record.key, asdict(record))
+    fresh = CheckpointStore(path)
     fresh.load()
-    assert fresh.records == [record]  # exact float round-trip, inf included
-    assert fresh.header["config"] == {"case": "roundtrip"}
-    assert fresh.header["config_key"] == run_config_key({"case": "roundtrip"})
-    assert fresh.header["version"] == STORE_VERSION
+    # Exact float round-trip, inf included.
+    assert EvalRecord(**fresh.get("k1")) == record
 
 
 def test_store_refuses_clobber_without_resume(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunStore(path) as store:
+    with CheckpointStore(path) as store:
         store.begin({"a": 1})
-    with pytest.raises(StoreError, match="resume=True"):
-        RunStore(path).begin({"a": 1})
+    with pytest.raises(CheckpointError, match="resume=True"):
+        CheckpointStore(path).begin({"a": 1})
 
 
 def test_store_refuses_config_mismatch_on_resume(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunStore(path) as store:
+    with CheckpointStore(path) as store:
         store.begin({"a": 1})
-    with pytest.raises(StoreError, match="different run configuration"):
-        RunStore(path).begin({"a": 2}, resume=True)
-
-
-def test_store_drops_unterminated_tail_even_if_parseable(tmp_path):
-    """A line without its newline is not durable, valid JSON or not."""
-    path = tmp_path / "run.jsonl"
-    record = EvalRecord("k1", 0, 0, {"x": 1.0}, 7, True, {"f": 2.0})
-    with RunStore(path) as store:
-        store.begin({"a": 1})
-        store.append(record)
-    # Append a second, complete-looking record but no trailing newline.
-    torn = dict(kind="eval", key="k2", generation=0, index=1, params={"x": 2.0},
-                seed=8, feasible=True, objectives={"f": 3.0}, reason="", elapsed=0.0)
-    with open(path, "ab") as fh:
-        fh.write(json.dumps(torn).encode())
-
-    fresh = RunStore(path)
-    fresh.load()
-    assert [r.key for r in fresh.records] == ["k1"]
-
-    # Resuming truncates the torn bytes so the next append can't splice.
-    fresh.begin({"a": 1}, resume=True)
-    fresh.append(EvalRecord("k3", 1, 0, {"x": 3.0}, 9, True, {"f": 4.0}))
-    fresh.close()
-    reread = RunStore(path)
-    reread.load()
-    assert [r.key for r in reread.records] == ["k1", "k3"]
+    with pytest.raises(CheckpointError, match="different run configuration"):
+        CheckpointStore(path).begin({"a": 2}, resume=True)
 
 
 def test_store_mid_file_corruption_drops_tail_with_warning(tmp_path):
@@ -120,40 +91,49 @@ def test_store_mid_file_corruption_drops_tail_with_warning(tmp_path):
         EvalRecord(f"k{i}", 0, i, {"x": float(i)}, i, True, {"f": float(i)})
         for i in range(4)
     ]
-    with RunStore(path) as store:
+    with CheckpointStore(path) as store:
         store.begin({"a": 1})
         for r in records:
-            store.append(r)
+            store.append(r.key, asdict(r))
     lines = _store_lines(path)
-    lines[2] = b'{"kind": "eval", "key": "k1", garbage'
+    lines[2] = b'{"key": "k1", garbage'
     path.write_bytes(b"\n".join(lines) + b"\n")
 
-    fresh = RunStore(path)
+    fresh = CheckpointStore(path)
     with pytest.warns(RuntimeWarning, match="corrupt record"):
         fresh.load()
-    assert [r.key for r in fresh.records] == ["k0"]
+    # Only the record before the corrupt line survives, and it decodes intact.
+    assert [EvalRecord(**payload) for _, payload in fresh.items()] == records[:1]
 
 
-def test_store_records_but_no_header_refused(tmp_path):
+def test_store_written_before_the_shared_format_is_refused(tmp_path):
+    """A DSE store in the retired ``"kind": "eval"`` line format, keyed
+    in its own config namespace, does not resume: it is refused rather
+    than silently re-run or mixed."""
     path = tmp_path / "run.jsonl"
-    line = dict(kind="eval", key="k1", generation=0, index=0, params={},
-                seed=0, feasible=True, objectives={}, reason="", elapsed=0.0)
-    path.write_bytes(json.dumps(line).encode() + b"\n")
-    with pytest.raises(StoreError, match="no header"):
-        RunStore(path).load()
+    _run(checkpoint=path)
+    header, *records = [json.loads(line) for line in _store_lines(path)]
+    header["config_key"] = content_key(
+        "dse-run-config/v1", json.dumps(header["config"], sort_keys=True)
+    )
+    old = [header] + [{"kind": "eval", **r["payload"]} for r in records]
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in old))
+    with pytest.warns(RuntimeWarning, match="unknown record kind 'eval'"):
+        with pytest.raises(CheckpointError, match="different run configuration"):
+            _run(checkpoint=path, resume=True)
 
 
 # --- resume equivalence ----------------------------------------------------------------
 
 
-def _run(store=None, resume=False, n_jobs=1, seed=99):
+def _run(checkpoint=None, resume=False, n_jobs=1, seed=99):
     return run_dse(
         _space(),
         Zdt1Evaluator(dimension=3),
         Nsga2Strategy(population=8, generations=4),
         base_seed=seed,
         n_jobs=n_jobs,
-        store=store,
+        checkpoint=checkpoint,
         resume=resume,
     )
 
@@ -163,8 +143,7 @@ def test_kill_mid_generation_then_resume_front_identical(tmp_path):
     baseline = _run()  # uninterrupted, no store
 
     full = tmp_path / "full.jsonl"
-    with RunStore(full) as store:
-        full_result = _run(store=store)
+    full_result = _run(checkpoint=full)
     assert _front_key(full_result) == _front_key(baseline)
 
     lines = _store_lines(full)
@@ -177,8 +156,7 @@ def test_kill_mid_generation_then_resume_front_identical(tmp_path):
     interrupted = tmp_path / "interrupted.jsonl"
     interrupted.write_bytes(b"\n".join(lines[:keep]) + b"\n" + lines[keep][: len(lines[keep]) // 2])
 
-    with RunStore(interrupted) as store:
-        resumed = _run(store=store, resume=True)
+    resumed = _run(checkpoint=interrupted, resume=True)
 
     assert _front_key(resumed) == _front_key(full_result)
     # The resumed run replayed what survived and computed only the rest.
@@ -196,10 +174,8 @@ def test_kill_mid_generation_then_resume_front_identical(tmp_path):
 
 def test_resume_of_complete_run_recomputes_nothing(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunStore(path) as store:
-        first = _run(store=store)
-    with RunStore(path) as store:
-        second = _run(store=store, resume=True)
+    first = _run(checkpoint=path)
+    second = _run(checkpoint=path, resume=True)
     assert second.n_evaluated == 0
     assert second.n_replayed == len(first.records)
     assert _front_key(second) == _front_key(first)
@@ -208,38 +184,32 @@ def test_resume_of_complete_run_recomputes_nothing(tmp_path):
 def test_resume_across_worker_counts_identical(tmp_path):
     """Interrupt a serial run, resume with 4 workers: same front."""
     full = tmp_path / "full.jsonl"
-    with RunStore(full) as store:
-        full_result = _run(store=store, n_jobs=1)
+    full_result = _run(checkpoint=full, n_jobs=1)
 
     lines = _store_lines(full)
     interrupted = tmp_path / "interrupted.jsonl"
     interrupted.write_bytes(b"\n".join(lines[: 1 + len(full_result.records) // 3]) + b"\n")
 
-    with RunStore(interrupted) as store:
-        resumed = _run(store=store, resume=True, n_jobs=4)
+    resumed = _run(checkpoint=interrupted, resume=True, n_jobs=4)
     assert _front_key(resumed) == _front_key(full_result)
 
 
 def test_resume_refuses_different_search_config(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunStore(path) as store:
-        _run(store=store)
-    with RunStore(path) as store:
-        with pytest.raises(StoreError, match="different run configuration"):
-            run_dse(
-                _space(),
-                Zdt1Evaluator(dimension=3),
-                LhsStrategy(n_samples=8),  # different strategy => different run
-                base_seed=99,
-                store=store,
-                resume=True,
-            )
+    _run(checkpoint=path)
+    with pytest.raises(CheckpointError, match="different run configuration"):
+        run_dse(
+            _space(),
+            Zdt1Evaluator(dimension=3),
+            LhsStrategy(n_samples=8),  # different strategy => different run
+            base_seed=99,
+            checkpoint=path,
+            resume=True,
+        )
 
 
 def test_engine_refuses_nonempty_store_without_resume(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunStore(path) as store:
-        _run(store=store)
-    with RunStore(path) as store:
-        with pytest.raises(StoreError, match="resume=True"):
-            _run(store=store)
+    _run(checkpoint=path)
+    with pytest.raises(CheckpointError, match="resume=True"):
+        _run(checkpoint=path)

@@ -140,6 +140,8 @@ def test_expansion_is_deterministic():
         ("sweep_grid", {"parameters": {}, "evaluator": "poly"}),
         ("dse_batch", {"evaluator": "nope", "candidates": [{"x0": 0.1}]}),
         ("dse_batch", {"evaluator": "zdt1", "candidates": []}),
+        ("monte_carlo", {"bit_period": 0.0}),
+        ("monte_carlo", {"pattern": [0, 1, 2]}),
     ],
 )
 def test_invalid_configs_fail_at_submit_time(kind, bad):

@@ -19,17 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sweep import sweep_grid
-from repro.runtime import ResilienceConfig, ResultCache
+from repro.runtime import ResultCache
 from repro.service import CampaignDB, GRID_EVALUATORS, get_adapter, run_worker
+from repro.service import worker as service_worker
 
 REPO = Path(__file__).resolve().parent.parent
 
 GRID = {"parameters": {"x": [0.0, 1.0, 2.0], "y": [1.0, 4.0]}, "evaluator": "poly"}
-
-#: Fast-failing resilience for tests that exercise the failure path
-#: (the stock config's 2 extra in-executor retries are pointless for a
-#: deterministic KeyError).
-FAIL_FAST = ResilienceConfig(max_retries=0, backoff_base=0.0)
 
 
 def submit(db_path, name, kind, raw_config):
@@ -78,8 +74,7 @@ def test_worker_parks_deterministic_failures(tmp_path):
         "candidates": [{"x0": 0.5}],
     })
     report = run_worker(db_path, worker_id="w0", drain=True,
-                        lease_seconds=30.0, max_attempts=2,
-                        resilience=FAIL_FAST)
+                        lease_seconds=30.0, max_attempts=2)
     assert report.tasks_done == 0
     assert report.tasks_failed == 2  # requeued once, then parked
     assert all("KeyError" in line for line in report.failures)
@@ -91,6 +86,28 @@ def test_worker_parks_deterministic_failures(tmp_path):
         # retry-failed hands the row a fresh budget.
         assert db.retry_failed("bad") == 1
         assert db.status("bad")[0].n_open == 1
+
+
+def test_failing_task_runs_exactly_max_attempts_times(tmp_path, monkeypatch):
+    """The queue's attempt count is the only retry budget: a default
+    drain executes an always-failing task once per lease."""
+    db_path = tmp_path / "svc.sqlite"
+    submit(db_path, "bad", "dse_batch", {
+        "evaluator": "zdt1",
+        "evaluator_kwargs": {"dimension": 2},
+        "candidates": [{"x0": 0.5}],
+    })
+    executions = []
+    real = service_worker.execute_task
+
+    def counted(item):
+        executions.append(item)
+        return real(item)
+
+    monkeypatch.setattr(service_worker, "execute_task", counted)
+    report = run_worker(db_path, worker_id="w0", drain=True, lease_seconds=30.0)
+    assert report.tasks_failed == 3
+    assert len(executions) == 3  # max_attempts, its default
 
 
 def test_shared_cache_short_circuits_identical_tasks(tmp_path):
