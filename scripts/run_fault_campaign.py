@@ -155,12 +155,26 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def build_config(args: argparse.Namespace) -> FaultCampaignConfig:
-    shared = dict(
+    fields = dict(
         topology=args.topology,
+        k=args.k,
         concentration=args.concentration,
         chiplets_x=args.chiplets_x,
         chiplets_y=args.chiplets_y,
         noi_scale=args.noi_scale,
+        injection_rate=args.rate,
+        pattern=args.pattern,
+        size_flits=args.size_flits,
+        warmup=args.warmup,
+        measure=args.measure,
+        drain_limit=args.drain_limit,
+        bers=args.bers,
+        protocols=args.protocols,
+        datapath=args.datapath,
+        seed=args.seed,
+        engine=args.engine,
+        multicast_fraction=args.multicast_fraction,
+        multicast_degree=args.multicast_degree,
         workload=args.workload,
         trace_path=args.trace_path,
         burst_on=args.burst_on,
@@ -173,7 +187,7 @@ def build_config(args: argparse.Namespace) -> FaultCampaignConfig:
     if args.smoke:
         # --smoke shrinks windows and the BER grid but keeps the
         # requested topology, so CI can smoke any family member.
-        return FaultCampaignConfig(
+        fields.update(
             k=3,
             injection_rate=0.06,
             pattern="uniform",
@@ -182,31 +196,8 @@ def build_config(args: argparse.Namespace) -> FaultCampaignConfig:
             measure=150,
             drain_limit=20_000,
             bers=(2e-3,),
-            protocols=tuple(args.protocols),
-            datapath=args.datapath,
-            seed=args.seed,
-            engine=args.engine,
-            multicast_fraction=args.multicast_fraction,
-            multicast_degree=args.multicast_degree,
-            **shared,
         )
-    return FaultCampaignConfig(
-        k=args.k,
-        injection_rate=args.rate,
-        pattern=args.pattern,
-        size_flits=args.size_flits,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain_limit=args.drain_limit,
-        bers=tuple(args.bers),
-        protocols=tuple(args.protocols),
-        datapath=args.datapath,
-        seed=args.seed,
-        engine=args.engine,
-        multicast_fraction=args.multicast_fraction,
-        multicast_degree=args.multicast_degree,
-        **shared,
-    )
+    return FaultCampaignConfig(**fields)
 
 
 def build_resilience(args: argparse.Namespace) -> "ResilienceConfig | None":

@@ -39,7 +39,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.fault.campaign import FaultCampaignConfig, run_fault_campaign
+from repro.fault.campaign import run_fault_campaign
 from repro.noc import MeshTopology, record_trace
 from repro.service import CampaignDB, get_adapter
 from repro.service.cli import main as service_main
@@ -194,11 +194,7 @@ def run_case(args: argparse.Namespace, tmp: Path) -> str:
             )
     merged = adapter.merge(config, payloads)
 
-    baseline_cfg = FaultCampaignConfig(**{
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in config.items()
-        if k != "trace_hash"
-    })
+    baseline_cfg = adapter._config(config)
     print(f"campaign: {baseline_cfg.describe()}, "
           f"engine {baseline_cfg.effective_engine(warn=False)}")
     baseline = run_fault_campaign(baseline_cfg)

@@ -73,6 +73,35 @@ class EvalRecord:
     elapsed: float = 0.0
 
 
+def eval_record(
+    key: str,
+    generation: int,
+    index: int,
+    params: dict[str, float],
+    seed: int,
+    metrics: dict[str, float],
+    reason: str,
+    elapsed: float = 0.0,
+) -> EvalRecord:
+    """The record of one candidate from its ``(metrics, reason)`` outcome.
+
+    The one constructor behind engine-evaluated, cache-served and
+    service-evaluated (``dse_batch``) candidates, so all three compare
+    equal field by field.
+    """
+    return EvalRecord(
+        key=key,
+        generation=generation,
+        index=index,
+        params=params,
+        seed=seed,
+        feasible=not reason,
+        objectives={k: float(v) for k, v in metrics.items()},
+        reason=reason,
+        elapsed=elapsed,
+    )
+
+
 def candidate_key(evaluator, params: dict[str, float], seed: int) -> str:
     """The content identity of one evaluation (store + cache key)."""
     return content_key("dse-eval/v1", evaluator, params, seed)
@@ -251,15 +280,9 @@ class DseEngine:
                 resolved[i] = record
                 continue
             if not self.space.feasible(params):
-                resolved[i] = EvalRecord(
-                    key=key,
-                    generation=generation,
-                    index=i,
-                    params=params,
-                    seed=seed,
-                    feasible=False,
-                    objectives={},
-                    reason="violates space constraints",
+                resolved[i] = eval_record(
+                    key, generation, i, params, seed, {},
+                    "violates space constraints",
                 )
                 continue
             pending.append((i, key, params, seed))
@@ -292,14 +315,12 @@ class DseEngine:
                 value = self.cache.get(key)
                 if value is not MISS:
                     metrics, reason = value
-                    resolved[i] = self._record(
+                    resolved[i] = eval_record(
                         key, generation, i, params, seed, metrics, reason
                     )
                     continue
             tasks.setdefault(key, (self.evaluator, params, seed))
-        unique = [
-            (key, task) for key, task in tasks.items()
-        ]
+        unique = list(tasks.items())
         outcomes: dict[str, tuple[dict[str, float], str, float]] = {}
         if unique:
             t0 = time.perf_counter()
@@ -315,7 +336,7 @@ class DseEngine:
                 continue
             if key in outcomes:
                 metrics, reason, elapsed = outcomes[key]
-                resolved[i] = self._record(
+                resolved[i] = eval_record(
                     key, generation, i, params, seed, metrics, reason, elapsed
                 )
             else:
@@ -326,29 +347,6 @@ class DseEngine:
                 )
                 resolved[i] = twin
         return fresh
-
-    def _record(
-        self,
-        key: str,
-        generation: int,
-        index: int,
-        params: dict[str, float],
-        seed: int,
-        metrics: dict[str, float],
-        reason: str,
-        elapsed: float = 0.0,
-    ) -> EvalRecord:
-        return EvalRecord(
-            key=key,
-            generation=generation,
-            index=index,
-            params=params,
-            seed=seed,
-            feasible=not reason,
-            objectives={k: float(v) for k, v in metrics.items()},
-            reason=reason,
-            elapsed=elapsed,
-        )
 
     # --- front ------------------------------------------------------------------------
 
@@ -396,5 +394,6 @@ __all__ = [
     "EvalRecord",
     "candidate_key",
     "candidate_seed",
+    "eval_record",
     "run_dse",
 ]

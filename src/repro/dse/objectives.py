@@ -43,7 +43,7 @@ from repro.energy.router import RouterPowerModel
 from repro.errors import ConfigurationError, LivelockError
 from repro.mc import run_monte_carlo
 from repro.noc.power import price_stats
-from repro.noc.simulator import NocSimulator
+from repro.noc.simulator import NocSimulator, engine_for_traffic
 from repro.noc.topology import Topology, build_topology
 from repro.noc.traffic import SyntheticTraffic
 from repro.tech.technology import tech_45nm_soi
@@ -407,7 +407,7 @@ class NocWorkloadEvaluator:
                 topology, "synthetic", injection_rate=rate, pattern=name,
                 **common,
             )
-        engine = "fast" if traffic.multicast_fraction == 0.0 else "reference"
+        engine = engine_for_traffic("fast", traffic.multicast_fraction)
         sim = NocSimulator(topology, traffic=traffic, seed=seed, engine=engine)
         try:
             sim.run(warmup=self.warmup, measure=self.measure)

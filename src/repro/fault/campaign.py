@@ -36,7 +36,12 @@ from repro.fault.injector import FaultLayer
 from repro.fault.models import UniformBer
 from repro.fault.protection import PROTOCOLS, ProtectionConfig
 from repro.mc.ber import ber_upper_bound_many
-from repro.noc.simulator import ENGINES, EngineFallbackWarning, NocSimulator
+from repro.noc.simulator import (
+    ENGINES,
+    EngineFallbackWarning,
+    NocSimulator,
+    engine_for_traffic,
+)
 from repro.noc.topology import TOPOLOGY_KINDS, Topology, build_topology
 from repro.noc.trace import topology_spec, trace_file_hash
 from repro.noc.traffic import PATTERNS
@@ -116,6 +121,10 @@ class FaultCampaignConfig:
     coupling: bool = True
 
     def __post_init__(self) -> None:
+        # JSON configs carry lists; the frozen config must stay hashable
+        # (it keys the per-process traffic tape memo).
+        object.__setattr__(self, "bers", tuple(self.bers))
+        object.__setattr__(self, "protocols", tuple(self.protocols))
         if self.k < 2:
             raise ConfigurationError(f"k must be >= 2, got {self.k}")
         if self.topology not in TOPOLOGY_KINDS:
@@ -312,19 +321,18 @@ class FaultCampaignConfig:
         attributable, never a bare silent reference-engine run.
         """
         multicast = self.workload_multicast_fraction()
-        if self.engine == "fast" and multicast > 0.0:
-            if warn:
-                warnings.warn(
-                    f"campaign {self.content_hash()[:16]}: engine='fast' "
-                    f"does not support multicast traffic "
-                    f"(workload={self.workload!r} injects a multicast "
-                    f"fraction of {multicast:g}); "
-                    f"falling back to the reference engine",
-                    EngineFallbackWarning,
-                    stacklevel=3,
-                )
-            return "reference"
-        return self.engine
+        engine = engine_for_traffic(self.engine, multicast)
+        if warn and engine != self.engine:
+            warnings.warn(
+                f"campaign {self.content_hash()[:16]}: engine='fast' "
+                f"does not support multicast traffic "
+                f"(workload={self.workload!r} injects a multicast "
+                f"fraction of {multicast:g}); "
+                f"falling back to the reference engine",
+                EngineFallbackWarning,
+                stacklevel=3,
+            )
+        return engine
 
     def tasks(self) -> list[tuple["FaultCampaignConfig", float, str]]:
         return [
@@ -580,6 +588,20 @@ class FaultCampaignResult:
     points: tuple[FaultPointResult, ...]
     failures: tuple[TaskFailure, ...] = ()
 
+    @classmethod
+    def from_values(
+        cls,
+        config: FaultCampaignConfig,
+        values: list[FaultPointResult | TaskFailure],
+    ) -> "FaultCampaignResult":
+        """The result of task-ordered point outcomes; a
+        :class:`TaskFailure` slot goes to ``failures``."""
+        return cls(
+            config=config,
+            points=tuple(v for v in values if not isinstance(v, TaskFailure)),
+            failures=tuple(v for v in values if isinstance(v, TaskFailure)),
+        )
+
     def point(self, ber: float, protocol: str) -> FaultPointResult:
         for p in self.points:
             if p.ber == ber and p.protocol == protocol:
@@ -629,11 +651,7 @@ def run_fault_campaign(
         encode=point_payload,
         decode=point_from_payload,
     )
-    return FaultCampaignResult(
-        config=config,
-        points=tuple(v for v in values if not isinstance(v, TaskFailure)),
-        failures=tuple(v for v in values if isinstance(v, TaskFailure)),
-    )
+    return FaultCampaignResult.from_values(config, values)
 
 
 def protection_crossover(

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.circuit.link import SRLRLink, transmit_batch
 from repro.circuit.prbs import PrbsGenerator, worst_case_patterns
@@ -37,8 +35,8 @@ from repro.runtime import (
     ResultCache,
     TaskFailure,
     content_key,
-    make_seeds,
     run_checkpointed,
+    sequential_seeds,
 )
 from repro.tech.variation import monte_carlo_sample
 
@@ -71,6 +69,18 @@ class McResult:
     #: failures — those are ordinary ``runs`` with ``ok=False``).  Empty
     #: on the default strict-less path.
     failures: list[TaskFailure] = field(default_factory=list)
+
+    @classmethod
+    def from_values(
+        cls, design: SRLRDesignParams, values: list[McRun | TaskFailure]
+    ) -> "McResult":
+        """The result of campaign-ordered die outcomes; a
+        :class:`TaskFailure` slot goes to ``failures``."""
+        return cls(
+            design=design,
+            runs=[v for v in values if not isinstance(v, TaskFailure)],
+            failures=[v for v in values if isinstance(v, TaskFailure)],
+        )
 
     @property
     def n_task_failures(self) -> int:
@@ -185,7 +195,6 @@ def run_monte_carlo(
     pattern: list[int] | None = None,
     base_seed: int = 2013,
     local_enabled: bool = True,
-    seed_scheme: str = "sequential",
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
     cache: ResultCache | None = None,
@@ -194,10 +203,9 @@ def run_monte_carlo(
 ) -> McResult:
     """Monte Carlo yield analysis of one link design.
 
-    Each run's seed comes from a deterministic per-task stream (the
-    default ``sequential`` scheme is the paper's ``base_seed + i``, so
-    individual failing dies can be reproduced exactly; ``spawn`` derives
-    collision-resistant seeds through ``SeedSequence.spawn``).
+    Die ``i`` is drawn from seed ``base_seed + i`` (the paper's scheme),
+    so individual failing dies can be reproduced exactly, and designs
+    run with the same ``base_seed`` see the same dies.
     ``local_enabled=False`` restricts variation to global corners only
     (useful for ablating the two variation scales).
 
@@ -221,7 +229,7 @@ def run_monte_carlo(
     """
     pattern = default_stress_pattern() if pattern is None else pattern
     check_campaign(n_runs, bit_period, pattern)
-    seeds = make_seeds(base_seed, n_runs, seed_scheme)
+    seeds = sequential_seeds(base_seed, n_runs)
 
     campaign_key = content_key(
         "run_monte_carlo/v1",
@@ -258,11 +266,7 @@ def run_monte_carlo(
         decode=run_from_payload,
         chunked=True,
     )
-    result = McResult(
-        design=design,
-        runs=[v for v in values if not isinstance(v, TaskFailure)],
-        failures=[v for v in values if isinstance(v, TaskFailure)],
-    )
+    result = McResult.from_values(design, values)
     if cache is not None and not result.failures:
         cache.put(campaign_key, result.runs)
     return result

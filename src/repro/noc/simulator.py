@@ -33,6 +33,19 @@ class EngineFallbackWarning(RuntimeWarning):
     """
 
 
+def engine_for_traffic(engine: str, multicast_fraction: float) -> str:
+    """The engine a run on traffic with this multicast share uses.
+
+    The fast engine is unicast-only: asked for ``"fast"`` with any
+    multicast in the mix, a run falls back to the reference oracle.
+    Callers that should be loud about it warn with
+    :class:`EngineFallbackWarning`.
+    """
+    if engine == "fast" and multicast_fraction > 0.0:
+        return "reference"
+    return engine
+
+
 @dataclass
 class Nic:
     """Network interface: queues packets and injects flits via LOCAL.
@@ -416,4 +429,9 @@ class NocSimulator:
         return " ".join(parts)
 
 
-__all__ = ["EngineFallbackWarning", "Nic", "NocSimulator"]
+__all__ = [
+    "EngineFallbackWarning",
+    "Nic",
+    "NocSimulator",
+    "engine_for_traffic",
+]

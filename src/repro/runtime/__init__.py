@@ -1,15 +1,16 @@
 """Parallel execution runtime: executor, seeds, metrics, cache, resilience.
 
-The subsystem behind ``run_monte_carlo(..., n_jobs=...)`` and
-``sweep(..., n_jobs=...)``: an order-preserving chunked process-pool
-executor whose results are independent of worker count, deterministic
-per-task seed streams, lightweight progress metrics, an opt-in on-disk
-result cache keyed by a content hash of the inputs, a fault-tolerant
-task layer (timeouts, deterministic retries, worker-crash recovery,
-poison-task quarantine — :mod:`repro.runtime.resilience`), and
-the crash-safe JSONL checkpoint store plus the one checkpointed task loop
-(:func:`run_checkpointed`) that gives every long-running campaign
-``checkpoint=``/``resume=`` (:mod:`repro.runtime.checkpoint`).
+The subsystem behind ``run_monte_carlo(..., n_jobs=...)``,
+``sweep_grid(..., n_jobs=...)`` and the other campaign drivers: an
+order-preserving chunked process-pool executor whose results are
+independent of worker count, deterministic per-task seed streams,
+lightweight progress metrics, an opt-in on-disk result cache keyed by a
+content hash of the inputs, a fault-tolerant task layer (timeouts,
+deterministic retries, worker-crash recovery, poison-task quarantine —
+:mod:`repro.runtime.resilience`), and the crash-safe JSONL checkpoint
+store plus the one checkpointed task loop (:func:`run_checkpointed`)
+that gives every long-running campaign ``checkpoint=``/``resume=``
+(:mod:`repro.runtime.checkpoint`).
 """
 
 from repro.runtime.cache import (
@@ -39,13 +40,7 @@ from repro.runtime.resilience import (
     TaskFailure,
     TaskOutcome,
 )
-from repro.runtime.seeds import (
-    SEED_SCHEMES,
-    derived_seed,
-    make_seeds,
-    sequential_seeds,
-    spawned_seeds,
-)
+from repro.runtime.seeds import derived_seed, sequential_seeds
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -60,7 +55,6 @@ __all__ = [
     "ResultCache",
     "ResultHook",
     "RunMetrics",
-    "SEED_SCHEMES",
     "SerialFallbackWarning",
     "TaskFailure",
     "TaskOutcome",
@@ -68,11 +62,9 @@ __all__ = [
     "content_key",
     "derived_seed",
     "git_provenance",
-    "make_seeds",
     "print_progress",
     "resolve_n_jobs",
     "run_checkpointed",
     "sequential_seeds",
-    "spawned_seeds",
     "stable_token",
 ]

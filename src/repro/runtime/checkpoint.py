@@ -22,7 +22,7 @@ set of crash semantics:
   campaign converge to the exact result of an uninterrupted one.
 
 :func:`run_checkpointed` is the replay -> map -> persist loop over the
-store that ``run_monte_carlo``, ``sweep``/``sweep_grid`` and
+store that ``run_monte_carlo``, ``sweep_grid`` and
 ``run_fault_campaign`` run; the DSE engine
 (:class:`repro.dse.engine.DseEngine`) stores each evaluation record as a
 payload of the same store.
@@ -135,7 +135,7 @@ class CheckpointStore:
 
     # --- reading ----------------------------------------------------------------------
 
-    def load(self) -> None:
+    def load(self, config_key: str | None = None) -> None:
         """Parse the file, keeping every intact record.
 
         A truncated or corrupt *final* line is the expected crash residue
@@ -143,6 +143,10 @@ class CheckpointStore:
         remembered so :meth:`begin` can truncate it away).  Corruption
         *before* the end means the tail of the file cannot be trusted;
         everything after the bad line is dropped with a warning.
+
+        With ``config_key``, a header bound to another configuration is
+        refused as soon as it is read, before any record is parsed: a
+        store of another run is not judged by its record format.
         """
         self.header = None
         self._records.clear()
@@ -166,6 +170,12 @@ class CheckpointStore:
                         raise CheckpointError(
                             f"store version {payload.get('version')}"
                             f" != {CHECKPOINT_VERSION}"
+                        )
+                    if config_key not in (None, payload.get("config_key")):
+                        raise CheckpointError(
+                            f"{self.path} was written by a different run"
+                            " configuration; refusing to mix records"
+                            " (use a fresh store path)"
                         )
                     self.header = payload
                 elif kind == "record":
@@ -203,15 +213,10 @@ class CheckpointStore:
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if exists:
-            self.load()
+            self.load(self.config_key(config))
             if self.header is None:
                 raise CheckpointError(
                     f"{self.path}: no intact header to resume from"
-                )
-            if self.header.get("config_key") != self.config_key(config):
-                raise CheckpointError(
-                    f"{self.path} was written by a different run configuration;"
-                    " refusing to mix records (use a fresh store path)"
                 )
             self._fh = open(self.path, "r+b")
             self._fh.truncate(self._good_bytes)

@@ -1,21 +1,18 @@
 """Deterministic per-task seed streams for parallel execution.
 
-Two schemes cover the repo's needs:
+Two streams cover the repo's needs:
 
-* ``sequential_seeds`` — the paper's legacy scheme (``base_seed + i``).
-  It is what the serial Monte Carlo engine has always used, so keeping it
-  as the default makes the parallel path *bitwise identical* to the
-  serial reference and lets individual failing dies be replayed by their
-  integer seed.
-* ``spawned_seeds`` — collision-resistant streams derived through
-  :class:`numpy.random.SeedSequence.spawn`.  Unlike ``base_seed + i``,
-  children of different base seeds can never collide with each other
-  (adjacent base seeds share almost all of their sequential streams),
-  which matters when many design points run side by side.
+* ``sequential_seeds`` — the paper's scheme (``base_seed + i``), which
+  the Monte Carlo engine uses for its dies.  Individual failing dies
+  replay from their integer seed, and designs run with the same base
+  seed see the same dies (``sweep_swing`` compares designs that way).
+* ``derived_seed`` — one content-addressed seed per ``(base_seed,
+  token)``, for work identified by *what* it is rather than by its
+  position (DSE candidates, fault-campaign links and points).
 
-Both schemes depend only on ``(base_seed, task_index)`` — never on the
-worker that happens to execute the task — so any ``n_jobs``, any chunking
-and any completion order produce the same per-task randomness.
+Both depend only on their inputs — never on the worker that happens to
+execute the task — so any ``n_jobs``, any chunking and any completion
+order produce the same per-task randomness.
 """
 
 from __future__ import annotations
@@ -26,28 +23,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Seed schemes accepted by the Monte Carlo engine.
-SEED_SCHEMES = ("sequential", "spawn")
-
 
 def sequential_seeds(base_seed: int, n: int) -> list[int]:
-    """The legacy ``base_seed + i`` stream (paper-parity default)."""
+    """The ``base_seed + i`` stream (paper-parity Monte Carlo dies)."""
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     return [base_seed + i for i in range(n)]
-
-
-def spawned_seeds(base_seed: int, n: int) -> list[int]:
-    """``n`` collision-resistant integer seeds via ``SeedSequence.spawn``.
-
-    Each child sequence is reduced to one 64-bit word so the result can
-    be stored in :class:`~repro.mc.engine.McRun.seed` and replayed with
-    ``np.random.default_rng(seed)`` exactly like a legacy seed.
-    """
-    if n < 0:
-        raise ConfigurationError(f"n must be >= 0, got {n}")
-    children = np.random.SeedSequence(base_seed).spawn(n)
-    return [int(child.generate_state(2, np.uint64)[0]) for child in children]
 
 
 def derived_seed(base_seed: int, token: str) -> int:
@@ -66,21 +47,7 @@ def derived_seed(base_seed: int, token: str) -> int:
     return int(ss.generate_state(2, np.uint64)[0])
 
 
-def make_seeds(base_seed: int, n: int, scheme: str = "sequential") -> list[int]:
-    """Per-task integer seeds under the named scheme."""
-    if scheme == "sequential":
-        return sequential_seeds(base_seed, n)
-    if scheme == "spawn":
-        return spawned_seeds(base_seed, n)
-    raise ConfigurationError(
-        f"unknown seed scheme {scheme!r}; expected one of {SEED_SCHEMES}"
-    )
-
-
 __all__ = [
-    "SEED_SCHEMES",
     "derived_seed",
-    "make_seeds",
     "sequential_seeds",
-    "spawned_seeds",
 ]

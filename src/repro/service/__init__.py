@@ -36,8 +36,6 @@ from repro.service.adapters import (
     CampaignAdapter,
     DESIGNS,
     DseBatchAdapter,
-    DseBatchRecord,
-    DseBatchResult,
     FaultCampaignAdapter,
     GRID_EVALUATORS,
     MonteCarloAdapter,
@@ -73,8 +71,6 @@ __all__ = [
     "CampaignStatus",
     "DESIGNS",
     "DseBatchAdapter",
-    "DseBatchRecord",
-    "DseBatchResult",
     "FaultCampaignAdapter",
     "GRID_EVALUATORS",
     "LeasedTask",

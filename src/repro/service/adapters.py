@@ -16,14 +16,13 @@ operations the service needs:
   which is what makes a campaign completed by 1 worker or 8 crashing
   workers merge to bitwise-identical results.
 * :meth:`CampaignAdapter.merge` — reassemble the committed payloads into
-  the same result object the in-process driver returns
-  (:class:`~repro.mc.engine.McResult`,
-  :class:`~repro.analysis.sweep.GridResult`,
-  :class:`~repro.fault.campaign.FaultCampaignResult`, ...), bitwise
-  equal to a single-process run of the same configuration.  Floats
-  survive the JSON round-trip exactly (``repr`` round-trips IEEE
-  doubles) — the same guarantee :mod:`repro.runtime.checkpoint` relies
-  on.
+  the result the in-process driver returns, with the driver's own
+  builder (``McResult.from_values``, ``GridResult.from_values``,
+  ``FaultCampaignResult.from_values``, the DSE engine's
+  ``eval_record``), bitwise equal to a single-process run of the same
+  configuration.  Floats survive the JSON round-trip exactly (``repr``
+  round-trips IEEE doubles) — the same guarantee
+  :mod:`repro.runtime.checkpoint` relies on.
 
 Because configs must be JSON, evaluators and designs are referenced *by
 name* through registries (:data:`DESIGNS`, :data:`GRID_EVALUATORS`,
@@ -37,9 +36,15 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.analysis.sweep import GridResult, collect_metrics, grid_points
+from repro.analysis.sweep import GridResult, grid_points
 from repro.circuit.srlr import robust_design, straightforward_design
-from repro.dse.engine import _evaluate_task, candidate_key, candidate_seed
+from repro.dse.engine import (
+    EvalRecord,
+    _evaluate_task,
+    candidate_key,
+    candidate_seed,
+    eval_record,
+)
 from repro.dse.objectives import make_evaluator
 from repro.energy.link_energy import srlr_link_energy
 from repro.errors import ConfigurationError, ServiceError
@@ -60,7 +65,7 @@ from repro.mc.engine import (
     run_payload,
     simulate_dies,
 )
-from repro.runtime.seeds import make_seeds
+from repro.runtime.seeds import sequential_seeds
 
 #: Named link designs submittable by JSON configs.
 DESIGNS: dict[str, Callable] = {
@@ -102,6 +107,18 @@ class CampaignAdapter:
         raise NotImplementedError
 
 
+def _committed(payloads: dict[str, dict], tasks: list[TaskSpec]) -> list[dict]:
+    """The payload of every task, in task order — the one completeness
+    check behind every :meth:`CampaignAdapter.merge`."""
+    missing = [task.key for task in tasks if task.key not in payloads]
+    if missing:
+        raise ServiceError(
+            f"campaign incomplete: {len(missing)} of {len(tasks)} tasks "
+            f"have no result (first: {missing[0]})"
+        )
+    return [payloads[task.key] for task in tasks]
+
+
 # --- Monte Carlo ----------------------------------------------------------------------
 
 
@@ -109,15 +126,26 @@ class MonteCarloAdapter(CampaignAdapter):
     """``run_monte_carlo`` as a campaign: dies in fixed seed blocks.
 
     Config keys: ``design`` (a :data:`DESIGNS` name), ``design_kwargs``,
-    ``n_runs``, ``base_seed``, ``seed_scheme``, ``bit_period``,
-    ``local_enabled``, ``pattern`` (explicit bit list; default is the
-    paper's stress pattern) and ``block_size`` (dies per task row).
+    ``n_runs``, ``base_seed``, ``bit_period``, ``local_enabled``,
+    ``pattern`` (explicit bit list; default is the paper's stress
+    pattern) and ``block_size`` (dies per task row).  Die ``i`` draws
+    seed ``base_seed + i``, as in ``run_monte_carlo``.
     """
 
     kind = "monte_carlo"
+    KEYS = frozenset({
+        "design", "design_kwargs", "n_runs", "base_seed", "bit_period",
+        "local_enabled", "pattern", "block_size",
+    })
 
     def canonical_config(self, config: dict) -> dict:
         config = dict(config)
+        unknown = sorted(set(config) - self.KEYS)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown monte_carlo config keys {unknown}; "
+                f"choose from {sorted(self.KEYS)}"
+            )
         design = config.setdefault("design", "robust")
         if design not in DESIGNS:
             raise ConfigurationError(
@@ -126,7 +154,6 @@ class MonteCarloAdapter(CampaignAdapter):
         config.setdefault("design_kwargs", {})
         config["n_runs"] = int(config.setdefault("n_runs", 1000))
         config.setdefault("base_seed", 2013)
-        config.setdefault("seed_scheme", "sequential")
         config.setdefault("bit_period", 1.0 / 4.1e9)
         config.setdefault("local_enabled", True)
         pattern = config.setdefault("pattern", None)
@@ -146,14 +173,8 @@ class MonteCarloAdapter(CampaignAdapter):
     def _design(config: dict):
         return DESIGNS[config["design"]](**config["design_kwargs"])
 
-    @staticmethod
-    def _seeds(config: dict) -> list[int]:
-        return make_seeds(
-            config["base_seed"], config["n_runs"], config["seed_scheme"]
-        )
-
     def expand(self, config: dict) -> list[TaskSpec]:
-        seeds = self._seeds(config)
+        seeds = sequential_seeds(config["base_seed"], config["n_runs"])
         block = config["block_size"]
         tasks = []
         for index, start in enumerate(range(0, len(seeds), block)):
@@ -180,15 +201,11 @@ class MonteCarloAdapter(CampaignAdapter):
         return {"runs": [run_payload(r) for r in runs]}
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> McResult:
-        runs = []
-        for task in self.expand(config):
-            payload = payloads.get(task.key)
-            if payload is None:
-                raise ServiceError(
-                    f"campaign incomplete: task {task.key} has no result"
-                )
-            runs.extend(run_from_payload(p) for p in payload["runs"])
-        return McResult(design=self._design(config), runs=runs)
+        blocks = _committed(payloads, self.expand(config))
+        return McResult.from_values(
+            self._design(config),
+            [run_from_payload(run) for block in blocks for run in block["runs"]],
+        )
 
     def describe_result(self, result: McResult) -> str:
         return (
@@ -268,19 +285,11 @@ class SweepGridAdapter(CampaignAdapter):
         return {"metrics": evaluate(point)}
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> GridResult:
-        points = grid_points(config["parameters"])
-        evaluated = []
-        for i, _point in enumerate(points):
-            payload = payloads.get(str(i))
-            if payload is None:
-                raise ServiceError(
-                    f"campaign incomplete: grid cell {i} has no result"
-                )
-            evaluated.append(payload["metrics"])
-        return GridResult(
-            parameters=tuple(config["parameters"]),
-            points=tuple(points),
-            metrics=collect_metrics(points, evaluated),
+        tasks = self.expand(config)
+        return GridResult.from_values(
+            config["parameters"],
+            [task.spec["point"] for task in tasks],
+            [payload["metrics"] for payload in _committed(payloads, tasks)],
         )
 
     def describe_result(self, result: GridResult) -> str:
@@ -320,9 +329,6 @@ class FaultCampaignAdapter(CampaignAdapter):
     def _config(config: dict) -> FaultCampaignConfig:
         fields = dict(config)
         fields.pop("trace_hash", None)
-        for name in ("bers", "protocols"):
-            if name in fields:
-                fields[name] = tuple(fields[name])
         return FaultCampaignConfig(**fields)
 
     def expand(self, config: dict) -> list[TaskSpec]:
@@ -342,17 +348,10 @@ class FaultCampaignAdapter(CampaignAdapter):
         return point_payload(point)
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> FaultCampaignResult:
-        cfg = self._config(config)
-        points = []
-        for _cfg, ber, protocol in cfg.tasks():
-            payload = payloads.get(point_key(ber, protocol))
-            if payload is None:
-                raise ServiceError(
-                    f"campaign incomplete: point ({ber}, {protocol!r}) "
-                    "has no result"
-                )
-            points.append(point_from_payload(payload))
-        return FaultCampaignResult(config=cfg, points=tuple(points))
+        points = _committed(payloads, self.expand(config))
+        return FaultCampaignResult.from_values(
+            self._config(config), [point_from_payload(p) for p in points]
+        )
 
     def describe_result(self, result: FaultCampaignResult) -> str:
         best = {
@@ -367,33 +366,6 @@ class FaultCampaignAdapter(CampaignAdapter):
 # --- DSE candidate batches ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DseBatchRecord:
-    """One evaluated candidate of a DSE batch campaign."""
-
-    key: str
-    params: dict
-    seed: int
-    metrics: dict
-    reason: str  # "" when feasible, else the InfeasibleDesign message
-
-    @property
-    def feasible(self) -> bool:
-        return not self.reason
-
-
-@dataclass(frozen=True)
-class DseBatchResult:
-    """All candidates of one batch, in submission order."""
-
-    evaluator: str
-    records: tuple[DseBatchRecord, ...]
-
-    @property
-    def n_feasible(self) -> int:
-        return sum(1 for r in self.records if r.feasible)
-
-
 class DseBatchAdapter(CampaignAdapter):
     """A fixed batch of DSE candidate evaluations as a campaign.
 
@@ -401,8 +373,11 @@ class DseBatchAdapter(CampaignAdapter):
     name), ``evaluator_kwargs``, ``candidates`` (a list of param dicts —
     e.g. one NSGA-II generation) and ``base_seed``.  Task keys and seeds
     are the engine's own ``candidate_key``/``candidate_seed`` content
-    identities, so service-evaluated candidates are interchangeable with
-    engine-evaluated ones.
+    identities, and the merged result is the list of
+    :class:`~repro.dse.engine.EvalRecord` the engine's own
+    :func:`~repro.dse.engine.eval_record` builds (``generation`` 0,
+    ``index`` the submission position), so service-evaluated candidates
+    are interchangeable with engine-evaluated ones.
     """
 
     kind = "dse_batch"
@@ -448,33 +423,24 @@ class DseBatchAdapter(CampaignAdapter):
         return {"metrics": {k: float(v) for k, v in metrics.items()},
                 "reason": reason}
 
-    def merge(self, config: dict, payloads: dict[str, dict]) -> DseBatchResult:
-        records = []
-        for task in self.expand(config):
-            payload = payloads.get(task.key)
-            if payload is None:
-                raise ServiceError(
-                    f"campaign incomplete: candidate {task.index} "
-                    f"({task.key[:16]}) has no result"
-                )
-            records.append(
-                DseBatchRecord(
-                    key=task.key,
-                    params=task.spec["params"],
-                    seed=task.spec["seed"],
-                    metrics=payload["metrics"],
-                    reason=payload["reason"],
-                )
+    def merge(self, config: dict, payloads: dict[str, dict]) -> list[EvalRecord]:
+        tasks = self.expand(config)
+        return [
+            eval_record(
+                task.key,
+                0,
+                task.index,
+                task.spec["params"],
+                task.spec["seed"],
+                payload["metrics"],
+                payload["reason"],
             )
-        return DseBatchResult(
-            evaluator=config["evaluator"], records=tuple(records)
-        )
+            for task, payload in zip(tasks, _committed(payloads, tasks))
+        ]
 
-    def describe_result(self, result: DseBatchResult) -> str:
-        return (
-            f"{len(result.records)} candidates through {result.evaluator!r}, "
-            f"{result.n_feasible} feasible"
-        )
+    def describe_result(self, result: list[EvalRecord]) -> str:
+        feasible = sum(record.feasible for record in result)
+        return f"{len(result)} candidates, {feasible} feasible"
 
 
 #: The campaign-kind registry.
@@ -502,8 +468,6 @@ __all__ = [
     "CampaignAdapter",
     "DESIGNS",
     "DseBatchAdapter",
-    "DseBatchRecord",
-    "DseBatchResult",
     "FaultCampaignAdapter",
     "GRID_EVALUATORS",
     "MonteCarloAdapter",

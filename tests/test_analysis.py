@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.analysis import (
-    SweepResult,
     e1_fig4_waveforms,
     e2_pulse_width_dynamics,
     e3_driver_modes,
@@ -20,7 +19,7 @@ from repro.analysis import (
     e13_sizing,
     format_kv,
     format_table,
-    sweep,
+    sweep_grid,
 )
 
 
@@ -65,18 +64,25 @@ def test_format_cell_special_values():
 
 
 def test_sweep_collects_metrics():
-    result = sweep("x", [1.0, 2.0, 3.0], lambda x: {"sq": x * x, "lin": x})
-    assert result.series("sq") == [(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
+    result = sweep_grid(
+        {"x": [1.0, 2.0, 3.0]}, lambda p: {"sq": p["x"] * p["x"], "lin": p["x"]}
+    )
+    assert result.series("sq") == [
+        ({"x": 1.0}, 1.0),
+        ({"x": 2.0}, 4.0),
+        ({"x": 3.0}, 9.0),
+    ]
     assert result.headers() == ["x", "lin", "sq"]
-    assert len(result.rows()) == 3
+    assert result.rows() == [[1.0, 1.0, 1.0], [2.0, 2.0, 4.0], [3.0, 3.0, 9.0]]
 
 
 def test_sweep_validation():
     with pytest.raises(ConfigurationError):
-        sweep("x", [], lambda x: {})
-    with pytest.raises(ConfigurationError):
-        sweep("x", [1.0, 2.0], lambda x: {"a": x} if x < 2 else {"b": x})
-    result = sweep("x", [1.0], lambda x: {"a": x})
+        sweep_grid(
+            {"x": [1.0, 2.0]},
+            lambda p: {"a": p["x"]} if p["x"] < 2 else {"b": p["x"]},
+        )
+    result = sweep_grid({"x": [1.0]}, lambda p: {"a": p["x"]})
     with pytest.raises(ConfigurationError):
         result.series("missing")
 

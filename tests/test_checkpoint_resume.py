@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.sweep import sweep, sweep_grid
+from repro.analysis.sweep import grid_points, sweep_grid
 from repro.circuit.srlr import robust_design
 from repro.errors import CheckpointError
 from repro.fault import FaultCampaignConfig, run_fault_campaign
@@ -160,13 +160,13 @@ def test_records_without_header_refused(tmp_path):
 
 
 def test_callable_token_distinguishes_functions_and_partials():
-    t_sweep = callable_token(sweep)
-    t_grid = callable_token(sweep_grid)
+    t_sweep = callable_token(sweep_grid)
+    t_grid = callable_token(grid_points)
     assert t_sweep != t_grid
-    p1 = callable_token(functools.partial(sweep, parameter="x"))
-    p2 = callable_token(functools.partial(sweep, parameter="y"))
+    p1 = callable_token(functools.partial(sweep_grid, n_jobs=1))
+    p2 = callable_token(functools.partial(sweep_grid, n_jobs=2))
     assert p1 != p2
-    assert callable_token(functools.partial(sweep, parameter="x")) == p1
+    assert callable_token(functools.partial(sweep_grid, n_jobs=1)) == p1
 
 
 # --- Monte Carlo ------------------------------------------------------------------------
@@ -259,18 +259,21 @@ def test_mc_different_campaign_refuses_store(tmp_path):
 
 # --- sweeps -----------------------------------------------------------------------------
 
-SWEEP_VALUES = (0.26, 0.28, 0.30, 0.32)
+#: A one-axis sweep: the classic 1-D parameter sweep.
+SWEEP_AXIS = {"swing": (0.26, 0.28, 0.30, 0.32)}
 
 
-def _sweep_eval(v: float) -> dict[str, float]:
+def _sweep_eval(point: dict) -> dict[str, float]:
+    v = point["swing"]
     return {"square": v * v, "scaled": v * 3.7}
 
 
-def _gated_eval(v: float, gate_dir: str = "") -> dict[str, float]:
-    """Poison value fails until the gate file exists (resume testing)."""
-    if v == SWEEP_VALUES[2] and not (Path(gate_dir) / "open").exists():
+def _gated_eval(point: dict, gate_dir: str = "") -> dict[str, float]:
+    """Poison point fails until the gate file exists (resume testing)."""
+    poison = point["swing"] == SWEEP_AXIS["swing"][2]
+    if poison and not (Path(gate_dir) / "open").exists():
         raise RuntimeError("gate closed")
-    return _sweep_eval(v)
+    return _sweep_eval(point)
 
 
 def _grid_eval(point: dict) -> dict[str, float]:
@@ -278,22 +281,23 @@ def _grid_eval(point: dict) -> dict[str, float]:
 
 
 def test_sweep_interrupted_resume_is_bitwise_identical(tmp_path):
-    reference = sweep("swing", SWEEP_VALUES, _sweep_eval)
+    reference = sweep_grid(SWEEP_AXIS, _sweep_eval)
     path = tmp_path / "sweep.jsonl"
-    sweep("swing", SWEEP_VALUES, _sweep_eval, checkpoint=path)
+    sweep_grid(SWEEP_AXIS, _sweep_eval, checkpoint=path)
     _truncate_to_records(path, 2)
 
-    resumed = sweep(
-        "swing", SWEEP_VALUES, _sweep_eval, checkpoint=path, resume=True
+    # Resumed on another worker count: stored and fresh points mix freely.
+    resumed = sweep_grid(
+        SWEEP_AXIS, _sweep_eval, n_jobs=2, checkpoint=path, resume=True
     )
     assert resumed == reference
 
 
 def test_sweep_different_evaluator_refuses_store(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    sweep("swing", SWEEP_VALUES, _sweep_eval, checkpoint=path)
+    sweep_grid(SWEEP_AXIS, _sweep_eval, checkpoint=path)
     with pytest.raises(CheckpointError, match="different run configuration"):
-        sweep("swing", SWEEP_VALUES, _grid_eval, checkpoint=path, resume=True)
+        sweep_grid(SWEEP_AXIS, _grid_eval, checkpoint=path, resume=True)
 
 
 def test_sweep_quarantined_point_not_checkpointed_and_retried_on_resume(tmp_path):
@@ -303,9 +307,8 @@ def test_sweep_quarantined_point_not_checkpointed_and_retried_on_resume(tmp_path
     path = tmp_path / "sweep.jsonl"
 
     config = ResilienceConfig(max_retries=0, backoff_base=0.0)
-    broken = sweep(
-        "swing",
-        SWEEP_VALUES,
+    broken = sweep_grid(
+        SWEEP_AXIS,
         evaluate,
         executor=ParallelExecutor(resilience=config),
         checkpoint=path,
@@ -316,12 +319,13 @@ def test_sweep_quarantined_point_not_checkpointed_and_retried_on_resume(tmp_path
 
     store = CheckpointStore(path)
     store.load()
-    assert len(store) == len(SWEEP_VALUES) - 1  # the failure was NOT persisted
+    # The failure was NOT persisted.
+    assert len(store) == len(SWEEP_AXIS["swing"]) - 1
 
     (gate / "open").touch()  # "fix" the flaky point
-    resumed = sweep("swing", SWEEP_VALUES, evaluate, checkpoint=path, resume=True)
+    resumed = sweep_grid(SWEEP_AXIS, evaluate, checkpoint=path, resume=True)
     assert resumed.failures == ()
-    assert resumed == sweep("swing", SWEEP_VALUES, _sweep_eval)
+    assert resumed == sweep_grid(SWEEP_AXIS, _sweep_eval)
 
 
 def test_sweep_grid_interrupted_resume_is_bitwise_identical(tmp_path):
@@ -393,7 +397,7 @@ def _raise(*_args, **_kwargs):
 def _raising_run(driver: str, path: Path) -> None:
     with pytest.raises(RuntimeError, match="evaluation failed"):
         if driver == "sweep":
-            sweep("v", [0.0, 1.0, 2.0], _raise, checkpoint=path)
+            sweep_grid({"v": [0.0, 1.0, 2.0]}, _raise, checkpoint=path)
         else:
             run_fault_campaign(SMALL_FAULT, checkpoint=path)
 
@@ -441,9 +445,9 @@ def _sweep_case(gate: Path, monkeypatch):
     evaluate = functools.partial(_gated_eval, gate_dir=str(gate))
 
     def run(**kwargs):
-        return sweep("swing", SWEEP_VALUES, evaluate, **kwargs)
+        return sweep_grid(SWEEP_AXIS, evaluate, **kwargs)
 
-    return run, len(SWEEP_VALUES), 2, "2", lambda r: r
+    return run, len(SWEEP_AXIS["swing"]), 2, "2", lambda r: r
 
 
 def _fault_case(gate: Path, monkeypatch):
@@ -508,7 +512,6 @@ def test_quarantined_item_on_resume_reindexed_to_campaign_position(
 #: must never change without a new config ``kind``.
 PINNED_CONFIG_KEYS = {
     "mc": "9506c12350dfd9afdcebe6b2c6e1d90006db13016a57fec15d275a10aaa0ae35",
-    "sweep": "531e73795e2c9bcb59132cce9888ed08fd9799fd8079158e0167ba28d72da152",
     "sweep_grid": "99a7a4e4f270217d2ad3dfc6749b133c87f0420a1606bb89d4534f24a1324bd6",
     "fault": "b0453207cac19ceb3481d5ed915394de6ad2f355ad28b403a9a1fe27b345b8f5",
 }
@@ -517,8 +520,6 @@ PINNED_CONFIG_KEYS = {
 def _pinned_run(driver: str, path: Path) -> None:
     if driver == "mc":
         run_monte_carlo(robust_design(), n_runs=4, checkpoint=path)
-    elif driver == "sweep":
-        sweep("swing", SWEEP_VALUES, _sweep_eval, checkpoint=path)
     elif driver == "sweep_grid":
         parameters = {"a": (1.0, 2.0, 3.0), "b": (0.5, 0.25)}
         sweep_grid(parameters, _grid_eval, checkpoint=path)

@@ -11,6 +11,7 @@ payloads in tests/test_checkpoint_resume.py; the store cases here use
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -108,8 +109,9 @@ def test_store_mid_file_corruption_drops_tail_with_warning(tmp_path):
 
 def test_store_written_before_the_shared_format_is_refused(tmp_path):
     """A DSE store in the retired ``"kind": "eval"`` line format, keyed
-    in its own config namespace, does not resume: it is refused rather
-    than silently re-run or mixed."""
+    in its own config namespace, does not resume: its header is refused
+    before any record is read — no corruption warning, file untouched —
+    rather than silently re-run or mixed."""
     path = tmp_path / "run.jsonl"
     _run(checkpoint=path)
     header, *records = [json.loads(line) for line in _store_lines(path)]
@@ -118,9 +120,13 @@ def test_store_written_before_the_shared_format_is_refused(tmp_path):
     )
     old = [header] + [{"kind": "eval", **r["payload"]} for r in records]
     path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in old))
-    with pytest.warns(RuntimeWarning, match="unknown record kind 'eval'"):
+    before = path.read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(CheckpointError, match="different run configuration"):
             _run(checkpoint=path, resume=True)
+    assert [str(w.message) for w in caught] == []
+    assert path.read_bytes() == before
 
 
 # --- resume equivalence ----------------------------------------------------------------

@@ -134,6 +134,15 @@ class TestPlumbing:
         with pytest.raises(ConfigurationError):
             FaultCampaignConfig(injection_rate=0.0)
 
+    def test_list_valued_config_equals_tuple_valued(self):
+        """JSON configs carry lists; they name the same campaign."""
+        fields = dict(k=2, warmup=10, measure=20, seed=5)
+        listed = FaultCampaignConfig(bers=[1e-3], protocols=["none"], **fields)
+        tupled = FaultCampaignConfig(bers=(1e-3,), protocols=("none",), **fields)
+        assert listed == tupled
+        assert listed.content_hash() == tupled.content_hash()
+        assert run_fault_campaign(listed) == run_fault_campaign(tupled)
+
     def test_tasks_cover_grid(self):
         config = FaultCampaignConfig(bers=(1e-6, 1e-3), protocols=("none", "crc"))
         tasks = config.tasks()

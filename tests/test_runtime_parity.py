@@ -3,7 +3,7 @@
 The whole value of the parallel runner rests on one property: for any
 ``n_jobs`` and any chunking, the results are *identical* to the serial
 reference path.  These tests enforce it bitwise for `run_monte_carlo`
-and `analysis.sweep`, plus the cache's hit/miss/corruption behavior and
+and `analysis.sweep_grid`, plus the cache's hit/miss/corruption behavior and
 the executor/seed-stream building blocks.
 """
 
@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.analysis.sweep import grid_points, sweep, sweep_grid
+from repro.analysis.sweep import grid_points, sweep_grid
 from repro.mc import run_monte_carlo
 from repro.runtime import (
     MISS,
@@ -23,10 +23,8 @@ from repro.runtime import (
     SerialFallbackWarning,
     content_key,
     derived_seed,
-    make_seeds,
     resolve_n_jobs,
     sequential_seeds,
-    spawned_seeds,
     stable_token,
 )
 
@@ -142,25 +140,6 @@ def test_sequential_seeds_match_legacy_scheme():
     assert sequential_seeds(2013, 5) == [2013, 2014, 2015, 2016, 2017]
 
 
-def test_spawned_seeds_deterministic_and_distinct():
-    a = spawned_seeds(7, 100)
-    b = spawned_seeds(7, 100)
-    assert a == b
-    assert len(set(a)) == 100
-    # Prefix stability: growing n extends the stream without moving it.
-    assert spawned_seeds(7, 10) == a[:10]
-    # Different base seeds give disjoint streams (the sequential scheme
-    # fails exactly this: base 7 and base 8 share 99 of 100 seeds).
-    assert not set(a) & set(spawned_seeds(8, 100))
-
-
-def test_make_seeds_scheme_dispatch():
-    assert make_seeds(5, 3, "sequential") == [5, 6, 7]
-    assert make_seeds(5, 3, "spawn") == spawned_seeds(5, 3)
-    with pytest.raises(ConfigurationError):
-        make_seeds(5, 3, "nope")
-
-
 # --- Monte Carlo parity ----------------------------------------------------------------
 
 
@@ -177,44 +156,45 @@ def test_run_monte_carlo_parallel_parity(robust, mc_serial, n_jobs):
     assert result.error_probability == mc_serial.error_probability
 
 
-@pytest.mark.parametrize("n_jobs", [2, 4])
-def test_run_monte_carlo_spawn_scheme_parity(robust, n_jobs):
-    serial = run_monte_carlo(robust, n_runs=12, base_seed=9, seed_scheme="spawn")
-    parallel = run_monte_carlo(
-        robust, n_runs=12, base_seed=9, seed_scheme="spawn", n_jobs=n_jobs
-    )
-    assert parallel.runs == serial.runs
-
-
 def test_run_monte_carlo_chunking_does_not_change_results(robust, mc_serial):
     ex = ParallelExecutor(n_jobs=2, chunk_size=5)
     result = run_monte_carlo(robust, n_runs=24, base_seed=321, executor=ex)
     assert result.runs == mc_serial.runs
 
 
-# --- sweep parity ----------------------------------------------------------------------
+# --- one-axis sweep parity -------------------------------------------------------------
+
+
+def _metrics_of_x(point):
+    return _metrics_of(point["x"])
 
 
 @pytest.mark.parametrize("n_jobs", N_JOBS_GRID)
 def test_sweep_parallel_parity(n_jobs):
-    serial = sweep("x", [1.0, 2.0, 3.0, 4.0, 5.0], _metrics_of, n_jobs=1)
-    parallel = sweep("x", [1.0, 2.0, 3.0, 4.0, 5.0], _metrics_of, n_jobs=n_jobs)
+    axis = {"x": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    serial = sweep_grid(axis, _metrics_of_x, n_jobs=1)
+    parallel = sweep_grid(axis, _metrics_of_x, n_jobs=n_jobs)
     assert parallel == serial
     assert parallel.metrics["y"] == (1.0, 4.0, 9.0, 16.0, 25.0)
 
 
 def test_sweep_closure_evaluator_warns_and_still_works_with_n_jobs():
     offset = 10.0  # closure capture => serial fallback, same answer
+    executor = ParallelExecutor(n_jobs=4)
     with pytest.warns(SerialFallbackWarning):
-        result = sweep("x", [1.0, 2.0], lambda x: {"y": x + offset}, n_jobs=4)
+        result = sweep_grid(
+            {"x": [1.0, 2.0]}, lambda p: {"y": p["x"] + offset}, executor=executor
+        )
     assert result.metrics["y"] == (11.0, 12.0)
+    # The fallback stays observable on the executor the sweep ran on.
+    assert executor.serial_fallbacks == 1
 
 
 def test_sweep_validation_unchanged():
     with pytest.raises(ConfigurationError):
-        sweep("x", [], _metrics_of)
+        sweep_grid({}, _metrics_of_x)
     with pytest.raises(ConfigurationError):
-        sweep("x", [1.0, 2.0], lambda x: {"y": 1.0} if x < 2 else {"z": 1.0})
+        sweep_grid({"x": []}, _metrics_of_x)
 
 
 # --- N-dimensional grid sweep -----------------------------------------------------------
@@ -305,16 +285,15 @@ def test_cache_miss_then_hit_roundtrip(tmp_path, robust):
 def test_cache_key_covers_every_input(tmp_path, robust, straightforward):
     cache = ResultCache(tmp_path)
     run_monte_carlo(robust, n_runs=8, cache=cache)
-    # Any input change must miss: design, die count, seed, seed scheme,
-    # rate, local-variation toggle.
+    # Any input change must miss: design, die count, seed, rate,
+    # local-variation toggle.
     run_monte_carlo(straightforward, n_runs=8, cache=cache)
     run_monte_carlo(robust, n_runs=9, cache=cache)
     run_monte_carlo(robust, n_runs=8, base_seed=99, cache=cache)
-    run_monte_carlo(robust, n_runs=8, seed_scheme="spawn", cache=cache)
     run_monte_carlo(robust, n_runs=8, bit_period=1.0 / 3.0e9, cache=cache)
     run_monte_carlo(robust, n_runs=8, local_enabled=False, cache=cache)
     assert cache.hits == 0
-    assert cache.misses == 7
+    assert cache.misses == 6
 
 
 def test_cache_corrupted_entry_recomputes(tmp_path, robust):

@@ -17,6 +17,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.analysis.sweep import sweep_grid
+from repro.dse import GridStrategy, SizingEvaluator, run_dse, sizing_space
 from repro.errors import ConfigurationError, ServiceError
 from repro.fault.campaign import FaultCampaignConfig, run_fault_campaign
 from repro.mc.engine import run_monte_carlo
@@ -96,10 +97,34 @@ def test_dse_batch_merges_in_submission_order():
             "base_seed": 5,
         }
     )
-    result = run_campaign(adapter, config)
-    assert [r.params for r in result.records] == config["candidates"]
-    assert result.n_feasible == 2
-    assert result.records[0].metrics["f1"] == pytest.approx(0.1)
+    records = run_campaign(adapter, config)
+    assert [r.params for r in records] == config["candidates"]
+    assert [r.index for r in records] == [0, 1]
+    assert all(r.feasible for r in records)
+    assert records[0].objectives["f1"] == pytest.approx(0.1)
+
+
+def test_dse_batch_records_equal_run_dse_records():
+    """Service-evaluated candidates are the engine's own records: same
+    key, params, seed, feasibility, objectives and rejection reason."""
+    reference = run_dse(
+        sizing_space(), SizingEvaluator(mc_runs=0), GridStrategy(levels=2),
+        base_seed=5,
+    )
+    assert any(not r.feasible for r in reference.records)
+    adapter = get_adapter("dse_batch")
+    config = adapter.canonical_config(
+        {
+            "evaluator": "sizing",
+            "evaluator_kwargs": {"mc_runs": 0},
+            "candidates": [r.params for r in reference.records],
+            "base_seed": 5,
+        }
+    )
+    fields = ("key", "params", "seed", "feasible", "objectives", "reason")
+    assert [
+        {f: getattr(r, f) for f in fields} for r in run_campaign(adapter, config)
+    ] == [{f: getattr(r, f) for f in fields} for r in reference.records]
 
 
 def test_merge_refuses_partial_payloads():
