@@ -31,6 +31,8 @@ from repro.runtime import (
     ParallelExecutor,
     TaskFailure,
     callable_token,
+    checkpoint_store,
+    driver_executor,
     run_checkpointed,
 )
 
@@ -139,8 +141,8 @@ def sweep_grid(
     :func:`grid_points` and fanned through the executor — results are
     ordered and identical for every worker count.
 
-    ``n_jobs`` (or a pre-built ``executor``, which also carries any
-    ``progress`` hook or ``resilience`` config) distributes the points
+    ``n_jobs`` (or, not both, a pre-built ``executor``, which also carries
+    any ``progress`` hook or ``resilience`` config) distributes the points
     across worker processes; evaluators that cannot cross a process
     boundary (closures) run on the serial path and emit a
     :class:`repro.runtime.SerialFallbackWarning` saying so.
@@ -153,15 +155,11 @@ def sweep_grid(
         "parameters": {k: [float(v) for v in vs] for k, vs in parameters.items()},
         "evaluator": callable_token(evaluate),
     }
-    values = run_checkpointed(
-        executor or ParallelExecutor(n_jobs=n_jobs),
-        evaluate,
-        points,
-        [str(i) for i in range(len(points))],
-        checkpoint,
-        config,
-        resume,
-    )
+    executor = driver_executor(executor, n_jobs)
+    with checkpoint_store(checkpoint, config, resume) as store:
+        values = run_checkpointed(
+            executor, evaluate, points, [str(i) for i in range(len(points))], store
+        )
     return GridResult.from_values(parameters, points, values)
 
 

@@ -13,10 +13,10 @@ engine:
   distance, hypervolume;
 * :mod:`repro.dse.strategies` — grid (shared with ``analysis.sweep``),
   Latin-hypercube and NSGA-II searches, all deterministic per seed;
-* :mod:`repro.dse.engine` — the ask/evaluate/tell loop: parallel batch
-  evaluation through :class:`repro.runtime.ParallelExecutor`,
-  content-addressed per-candidate seeds, result-cache reuse, and
-  checkpoint/resume through :class:`repro.runtime.CheckpointStore`;
+* :mod:`repro.dse.engine` — :func:`run_dse`, the ask/evaluate/tell
+  loop: content-addressed per-candidate seeds, result-cache reuse, and
+  parallel, checkpointed batch evaluation through the shared
+  :func:`repro.runtime.run_checkpointed` task loop;
 * :mod:`repro.dse.studies` — the paper's Fig. 8 and Section II claims
   re-cast as DSE studies;
 * :mod:`repro.dse.report` — front tables and run summaries.
@@ -28,7 +28,6 @@ interaction) are specified in docs/DSE.md.
 """
 
 from repro.dse.engine import (
-    DseEngine,
     DseResult,
     EvalRecord,
     candidate_key,
@@ -82,7 +81,6 @@ from repro.dse.studies import (
 )
 
 __all__ = [
-    "DseEngine",
     "DseResult",
     "EvalRecord",
     "Fig8Evaluator",

@@ -1,15 +1,18 @@
-"""The DSE engine: strategy loop, parallel evaluation, replay, caching.
+"""The DSE search: strategy loop, parallel evaluation, replay, caching.
 
-:class:`DseEngine` drives a :class:`~repro.dse.strategies.SearchStrategy`
-through ask/evaluate/tell rounds.  Each asked batch is resolved in three
-tiers, cheapest first:
+:func:`run_dse` drives a :class:`~repro.dse.strategies.SearchStrategy`
+through ask/evaluate/tell rounds.  Each asked batch is resolved
+cheapest first:
 
 1. **replay** — the search already met this candidate, or the
    checkpoint store holds it (a resumed search);
-2. **result cache** — an optional cross-run
+2. **space constraints** — a candidate that violates them is recorded
+   without spending a simulation;
+3. **result cache** — an optional cross-run
    :class:`~repro.runtime.ResultCache` entry under the same content key;
-3. **evaluation** — remaining candidates fan out together through one
-   :class:`~repro.runtime.ParallelExecutor` map.
+4. **evaluation** — the remaining candidates run through
+   :func:`~repro.runtime.run_checkpointed`, the checkpointed task loop
+   every campaign driver shares, one executor map per batch.
 
 A candidate's identity is ``content_key(evaluator, params, seed)`` where
 the seed itself derives from ``(base_seed, params)`` via
@@ -21,20 +24,24 @@ run all produce bitwise-identical records and therefore identical
 fronts.
 
 With ``checkpoint=`` (a path) every record is persisted, as
-``asdict(record)``, to a :class:`~repro.runtime.CheckpointStore` the
-moment its batch resolves; ``resume=True`` replays a store bound to the
-same run configuration (:meth:`DseEngine.run_config`).
+``asdict(record)``, to a :class:`~repro.runtime.CheckpointStore`: an
+evaluated one the moment its executor chunk lands, the others when
+their batch resolves.  ``resume=True`` replays a store bound to the
+same run configuration (space, evaluator, objectives, strategy and
+base seed).  A record's ``elapsed`` is its own evaluation's wall time,
+measured where it ran (0 for records that spent no evaluation).
 
-Constraint-infeasible candidates are recorded without spending a
-simulation; model-rejected ones (:class:`InfeasibleDesign`) are recorded
-with the rejection reason.  Both enter the strategy as all-``inf``
-vectors and can never appear in the reported front.
+Model-rejected candidates (:class:`InfeasibleDesign`) are recorded with
+the rejection reason.  They and constraint-infeasible ones enter the
+strategy as all-``inf`` vectors and can never appear in the reported
+front.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.dse.objectives import (
@@ -49,11 +56,12 @@ from repro.dse.strategies import SearchStrategy
 from repro.errors import ConfigurationError
 from repro.runtime import (
     MISS,
-    CheckpointStore,
     ParallelExecutor,
     ResultCache,
+    checkpoint_store,
     content_key,
     derived_seed,
+    run_checkpointed,
     stable_token,
 )
 
@@ -113,7 +121,8 @@ def candidate_seed(base_seed: int, params: dict[str, float]) -> int:
 
 
 def _evaluate_task(task: tuple) -> tuple[dict[str, float], str]:
-    """Worker body: ``(metrics, infeasible_reason)`` for one candidate.
+    """``(metrics, infeasible_reason)`` for one candidate: the evaluation
+    behind the search's worker and the ``dse_batch`` service adapter.
 
     Module-level so candidate batches can cross process boundaries; the
     result depends only on the task tuple.
@@ -157,210 +166,26 @@ class DseResult:
         return hypervolume(signed, reference)
 
 
-@dataclass
-class DseEngine:
-    """One configured search: space + evaluator + strategy + runtime."""
+def _evaluate_record(evaluator, task: tuple) -> EvalRecord:
+    """Worker body: the record of one candidate, timed where it runs."""
+    key, generation, index, params, seed = task
+    t0 = time.perf_counter()
+    metrics, reason = _evaluate_task((evaluator, params, seed))
+    return eval_record(
+        key, generation, index, params, seed, metrics, reason,
+        time.perf_counter() - t0,
+    )
 
-    space: ParamSpace
-    evaluator: object  # picklable callable with .objectives
-    strategy: SearchStrategy
-    base_seed: int = 2013
-    n_jobs: int | None = 1
-    executor: ParallelExecutor | None = None
-    cache: ResultCache | None = None
-    checkpoint: str | Path | None = None
-    progress: object | None = None  # callable(generation, n_new, n_total)
-    _store: CheckpointStore | None = field(default=None, init=False, repr=False)
-    _by_key: dict[str, EvalRecord] = field(default_factory=dict, repr=False)
-    _order: list[str] = field(default_factory=list, repr=False)
 
-    def run_config(self) -> dict:
-        """The configuration a checkpoint binds to (resume compatibility)."""
-        return {
-            "space": self.space.spec(),
-            "evaluator": stable_token(self.evaluator),
-            "objectives": [
-                {"name": o.name, "sense": o.sense} for o in self.evaluator.objectives
-            ],
-            "strategy": self.strategy.describe(),
-            "base_seed": self.base_seed,
-        }
-
-    def run(self, resume: bool = False) -> DseResult:
-        """Execute the search to completion and report the front.
-
-        ``resume=True`` continues a checkpoint written by an identical
-        configuration: the strategy loop replays deterministically, so
-        stored candidates short-circuit and only missing work runs.  The
-        store is closed on every exit path; each record was fsynced as
-        it landed, so an exception loses no completed evaluation.
-        """
-        if self.checkpoint is None:
-            return self._run()
-        self._store = CheckpointStore(self.checkpoint)
-        try:
-            self._store.begin(self.run_config(), resume=resume)
-            return self._run()
-        finally:
-            self._store.close()
-            self._store = None
-
-    def _run(self) -> DseResult:
-        t_start = time.perf_counter()
-        executor = self.executor or ParallelExecutor(n_jobs=self.n_jobs)
-        self._by_key.clear()
-        self._order.clear()
-        n_evaluated = n_replayed = cache_hits_before = 0
-        if self.cache is not None:
-            cache_hits_before = self.cache.hits
-        self.strategy.reset(self.space, self.base_seed)
-        generation = 0
-        while True:
-            batch = self.strategy.ask()
-            if batch is None:
-                break
-            if not batch:
-                raise ConfigurationError(
-                    "strategy asked an empty batch; return None to finish"
-                )
-            records, fresh, replayed = self._resolve_batch(
-                batch, generation, executor
-            )
-            n_evaluated += fresh
-            n_replayed += replayed
-            signed = [
-                signed_vector(self.evaluator.objectives, r.objectives)
-                if r.feasible
-                else infeasible_vector(self.evaluator.objectives)
-                for r in records
-            ]
-            self.strategy.tell(batch, signed)
-            if self.progress is not None:
-                self.progress(generation, fresh, len(self._order))
-            generation += 1
-        records = [self._by_key[k] for k in self._order]
-        front = self._front_of(records)
-        return DseResult(
-            space=self.space,
-            objectives=tuple(self.evaluator.objectives),
-            records=records,
-            front=front,
-            generations=generation,
-            n_evaluated=n_evaluated,
-            n_replayed=n_replayed,
-            n_cache_hits=(
-                self.cache.hits - cache_hits_before if self.cache is not None else 0
-            ),
-            elapsed=time.perf_counter() - t_start,
-        )
-
-    # --- batch resolution -------------------------------------------------------------
-
-    def _resolve_batch(
-        self,
-        batch: list[dict[str, float]],
-        generation: int,
-        executor: ParallelExecutor,
-    ) -> tuple[list[EvalRecord], int, int]:
-        """Records for one asked batch: replayed, cached or computed."""
-        resolved: list[EvalRecord | None] = [None] * len(batch)
-        pending: list[tuple[int, str, dict[str, float], int]] = []
-        replayed = 0
-        for i, params in enumerate(batch):
-            self.space.validate(params)
-            seed = candidate_seed(self.base_seed, params)
-            key = candidate_key(self.evaluator, params, seed)
-            record = self._by_key.get(key)
-            if record is None and self._store is not None:
-                payload = self._store.get(key)
-                if payload is not None:
-                    record = EvalRecord(**payload)
-                    replayed += 1
-            if record is not None:
-                resolved[i] = record
-                continue
-            if not self.space.feasible(params):
-                resolved[i] = eval_record(
-                    key, generation, i, params, seed, {},
-                    "violates space constraints",
-                )
-                continue
-            pending.append((i, key, params, seed))
-
-        fresh = self._evaluate_pending(pending, generation, resolved, executor)
-        records: list[EvalRecord] = []
-        for record in resolved:
-            assert record is not None
-            records.append(record)
-            if record.key not in self._by_key:
-                self._by_key[record.key] = record
-                self._order.append(record.key)
-                if self._store is not None:
-                    self._store.append(record.key, asdict(record))
-        return records, fresh, replayed
-
-    def _evaluate_pending(
-        self,
-        pending: list[tuple[int, str, dict[str, float], int]],
-        generation: int,
-        resolved: list[EvalRecord | None],
-        executor: ParallelExecutor,
-    ) -> int:
-        """Fill ``resolved`` slots for candidates that need real work."""
-        # Consult the cross-run cache first, and evaluate each distinct
-        # key once even if a batch repeats a candidate.
-        tasks: dict[str, tuple] = {}
-        for i, key, params, seed in pending:
-            if self.cache is not None and key not in tasks:
-                value = self.cache.get(key)
-                if value is not MISS:
-                    metrics, reason = value
-                    resolved[i] = eval_record(
-                        key, generation, i, params, seed, metrics, reason
-                    )
-                    continue
-            tasks.setdefault(key, (self.evaluator, params, seed))
-        unique = list(tasks.items())
-        outcomes: dict[str, tuple[dict[str, float], str, float]] = {}
-        if unique:
-            t0 = time.perf_counter()
-            results = executor.map(_evaluate_task, [task for _, task in unique])
-            per_task = (time.perf_counter() - t0) / len(unique)
-            for (key, _), (metrics, reason) in zip(unique, results):
-                outcomes[key] = (metrics, reason, per_task)
-                if self.cache is not None:
-                    self.cache.put(key, (metrics, reason))
-        fresh = len(outcomes)
-        for i, key, params, seed in pending:
-            if resolved[i] is not None:
-                continue
-            if key in outcomes:
-                metrics, reason, elapsed = outcomes[key]
-                resolved[i] = eval_record(
-                    key, generation, i, params, seed, metrics, reason, elapsed
-                )
-            else:
-                # A batch-internal duplicate whose first copy came from
-                # the cache: reuse whatever the earlier slot resolved to.
-                twin = next(
-                    r for r in resolved if r is not None and r.key == key
-                )
-                resolved[i] = twin
-        return fresh
-
-    # --- front ------------------------------------------------------------------------
-
-    def _front_of(self, records: list[EvalRecord]) -> list[EvalRecord]:
-        feasible = [r for r in records if r.feasible]
-        if not feasible:
-            return []
-        signed = [
-            signed_vector(self.evaluator.objectives, r.objectives) for r in feasible
-        ]
-        front = [feasible[i] for i in pareto_front_indices(signed)]
-        # Present the front along the first objective for stable reading.
-        first = self.evaluator.objectives[0]
-        return sorted(front, key=lambda r: first.signed(r.objectives[first.name]))
+def _front(
+    objectives: tuple[Objective, ...], records: list[EvalRecord]
+) -> list[EvalRecord]:
+    """The feasible non-dominated records, along the first objective."""
+    feasible = [r for r in records if r.feasible]
+    signed = [signed_vector(objectives, r.objectives) for r in feasible]
+    front = [feasible[i] for i in pareto_front_indices(signed)]
+    first = objectives[0]
+    return sorted(front, key=lambda r: first.signed(r.objectives[first.name]))
 
 
 def run_dse(
@@ -374,22 +199,104 @@ def run_dse(
     resume: bool = False,
     progress=None,
 ) -> DseResult:
-    """One-call search: build a :class:`DseEngine` and run it."""
-    engine = DseEngine(
+    """Run ``strategy`` over ``space`` to completion and report the front.
+
+    ``evaluator`` is a picklable callable ``(params, seed) -> metrics``
+    with an ``objectives`` attribute.  ``resume=True`` continues a
+    ``checkpoint`` written by an identical configuration: the strategy
+    loop replays deterministically, so stored candidates short-circuit
+    and only missing work runs.  ``progress``, if given, is called as
+    ``progress(generation, n_fresh, n_total)`` after every batch.
+    """
+    t_start = time.perf_counter()
+    executor = ParallelExecutor(n_jobs=n_jobs)
+    worker = partial(_evaluate_record, evaluator)
+    objectives = tuple(evaluator.objectives)
+    hits_before = cache.hits if cache is not None else 0
+    records: dict[str, EvalRecord] = {}  # first-met order, one per key
+    n_evaluated = n_replayed = generation = 0
+    config = {  # what a store binds to: resume needs all of it unchanged
+        "space": space.spec(),
+        "evaluator": stable_token(evaluator),
+        "objectives": [{"name": o.name, "sense": o.sense} for o in objectives],
+        "strategy": strategy.describe(),
+        "base_seed": base_seed,
+    }
+    with checkpoint_store(checkpoint, config, resume) as store:
+        strategy.reset(space, base_seed)
+        while (batch := strategy.ask()) is not None:
+            if not batch:
+                raise ConfigurationError(
+                    "strategy asked an empty batch; return None to finish"
+                )
+            # Each slot resolves to a record (memo, store, constraints,
+            # cache) or to the key of a task; a batch-internal duplicate
+            # runs once.
+            slots: list[EvalRecord | str] = []
+            tasks: dict[str, tuple] = {}
+            for i, params in enumerate(batch):
+                space.validate(params)
+                seed = candidate_seed(base_seed, params)
+                key = candidate_key(evaluator, params, seed)
+                record = records.get(key)
+                if record is None and store is not None and key in store:
+                    record = EvalRecord(**store.get(key))
+                    n_replayed += 1
+                if record is None and not space.feasible(params):
+                    record = eval_record(
+                        key, generation, i, params, seed, {},
+                        "violates space constraints",
+                    )
+                if record is None and cache is not None and key not in tasks:
+                    value = cache.get(key)
+                    if value is not MISS:
+                        record = eval_record(key, generation, i, params, seed, *value)
+                if record is None:
+                    tasks.setdefault(key, (key, generation, i, params, seed))
+                slots.append(key if record is None else record)
+
+            # Evaluated records persist as their executor chunk lands.
+            fresh = run_checkpointed(
+                executor, worker, list(tasks.values()), list(tasks), store,
+                encode=asdict,
+            )
+            computed = dict(zip(tasks, fresh))
+            n_evaluated += len(computed)
+            if cache is not None:
+                for key, record in computed.items():
+                    cache.put(key, (record.objectives, record.reason))
+            resolved = [computed[s] if isinstance(s, str) else s for s in slots]
+            for record in resolved:
+                if record.key not in records:
+                    records[record.key] = record
+                    if store is not None:
+                        # Writes only constraint and cache records:
+                        # append skips a key the store already holds.
+                        store.append(record.key, asdict(record))
+            strategy.tell(batch, [
+                signed_vector(objectives, r.objectives)
+                if r.feasible
+                else infeasible_vector(objectives)
+                for r in resolved
+            ])
+            if progress is not None:
+                progress(generation, len(computed), len(records))
+            generation += 1
+    ordered = list(records.values())
+    return DseResult(
         space=space,
-        evaluator=evaluator,
-        strategy=strategy,
-        base_seed=base_seed,
-        n_jobs=n_jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        progress=progress,
+        objectives=objectives,
+        records=ordered,
+        front=_front(objectives, ordered),
+        generations=generation,
+        n_evaluated=n_evaluated,
+        n_replayed=n_replayed,
+        n_cache_hits=cache.hits - hits_before if cache is not None else 0,
+        elapsed=time.perf_counter() - t_start,
     )
-    return engine.run(resume=resume)
 
 
 __all__ = [
-    "DseEngine",
     "DseResult",
     "EvalRecord",
     "candidate_key",

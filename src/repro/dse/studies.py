@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.circuit.srlr import DEFAULT_NOMINAL_SWING
 from repro.dse import space as sp
-from repro.dse.engine import DseEngine, DseResult, candidate_key, candidate_seed
+from repro.dse.engine import DseResult, candidate_key, candidate_seed, run_dse
 from repro.dse.objectives import (
     Fig8Evaluator,
     NocTopologyEvaluator,
@@ -104,17 +104,17 @@ def topology_study(
     other studies' driver shape.
     """
     strategy = strategy or Nsga2Strategy(population=12, generations=4)
-    engine = DseEngine(
-        space=noc_topology_space(),
-        evaluator=NocTopologyEvaluator(k=k),
-        strategy=strategy,
+    return run_dse(
+        noc_topology_space(),
+        NocTopologyEvaluator(k=k),
+        strategy,
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
         checkpoint=checkpoint,
+        resume=resume,
         progress=progress,
     )
-    return engine.run(resume=resume)
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,17 @@ def fig8_study(
     """
     strategy = strategy or Nsga2Strategy(population=16, generations=6)
     evaluator = Fig8Evaluator(mc_runs=mc_runs)
-    engine = DseEngine(
-        space=fig8_space(),
-        evaluator=evaluator,
-        strategy=strategy,
+    result = run_dse(
+        fig8_space(),
+        evaluator,
+        strategy,
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
         checkpoint=checkpoint,
+        resume=resume,
         progress=progress,
     )
-    result = engine.run(resume=resume)
 
     # The paper's own configuration, through the same evaluation path
     # (reusing the search's record if the strategy happened to visit it).
@@ -227,17 +227,17 @@ def sizing_study(
 ) -> DseResult:
     """Section II's swing/energy/margin sizing trade as a search."""
     strategy = strategy or Nsga2Strategy(population=16, generations=6)
-    engine = DseEngine(
-        space=sizing_space(),
-        evaluator=SizingEvaluator(mc_runs=mc_runs),
-        strategy=strategy,
+    return run_dse(
+        sizing_space(),
+        SizingEvaluator(mc_runs=mc_runs),
+        strategy,
         base_seed=base_seed,
         n_jobs=n_jobs,
         cache=cache,
         checkpoint=checkpoint,
+        resume=resume,
         progress=progress,
     )
-    return engine.run(resume=resume)
 
 
 __all__ = [

@@ -53,7 +53,12 @@ from repro.workload import (
     build_traffic,
     load_trace_cached,
 )
-from repro.runtime import TaskFailure, run_checkpointed
+from repro.runtime import (
+    TaskFailure,
+    checkpoint_store,
+    driver_executor,
+    run_checkpointed,
+)
 from repro.runtime.cache import content_key
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.seeds import derived_seed
@@ -626,7 +631,8 @@ def run_fault_campaign(
     """Evaluate the full (BER x protocol) grid, optionally in parallel.
 
     ``n_jobs`` fans the points across worker processes; a pre-built
-    ``executor`` replaces it.  An executor with a
+    ``executor`` replaces it (passing both is a
+    :class:`~repro.errors.ConfigurationError`).  An executor with a
     :class:`~repro.runtime.ResilienceConfig` opts points into the
     fault-tolerant task layer: timeouts, deterministic retries,
     worker-crash recovery, and (unless ``strict=True``) quarantine of
@@ -640,17 +646,18 @@ def run_fault_campaign(
     config = config or FaultCampaignConfig()
     config.effective_engine()  # warn (once, in the parent) on a fallback
     tasks = config.tasks()
-    values = run_checkpointed(
-        executor or ParallelExecutor(n_jobs=n_jobs),
-        _evaluate_point,
-        tasks,
-        [point_key(ber, protocol) for _, ber, protocol in tasks],
-        checkpoint,
-        {"kind": "fault-campaign/v3", "config": asdict(config)},
-        resume,
-        encode=point_payload,
-        decode=point_from_payload,
-    )
+    executor = driver_executor(executor, n_jobs)
+    store_config = {"kind": "fault-campaign/v3", "config": asdict(config)}
+    with checkpoint_store(checkpoint, store_config, resume) as store:
+        values = run_checkpointed(
+            executor,
+            _evaluate_point,
+            tasks,
+            [point_key(ber, protocol) for _, ber, protocol in tasks],
+            store,
+            encode=point_payload,
+            decode=point_from_payload,
+        )
     return FaultCampaignResult.from_values(config, values)
 
 

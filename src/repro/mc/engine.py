@@ -34,7 +34,9 @@ from repro.runtime import (
     ParallelExecutor,
     ResultCache,
     TaskFailure,
+    checkpoint_store,
     content_key,
+    driver_executor,
     run_checkpointed,
     sequential_seeds,
 )
@@ -211,7 +213,8 @@ def run_monte_carlo(
 
     ``n_jobs`` fans the dies across worker processes; results are
     identical for every worker count.  A pre-built ``executor`` replaces
-    it and carries everything else about execution: a ``progress`` hook,
+    it (passing both is a :class:`ConfigurationError`) and carries
+    everything else about execution: a ``progress`` hook,
     or a :class:`~repro.runtime.ResilienceConfig` (per-die timeouts,
     deterministic retries, worker-crash recovery) under which, with
     ``strict=False``, dies whose task exhausted its budget land in
@@ -254,18 +257,19 @@ def run_monte_carlo(
         bit_period=bit_period,
         local_enabled=local_enabled,
     )
-    values = run_checkpointed(
-        executor or ParallelExecutor(n_jobs=n_jobs),
-        worker,
-        seeds,
-        [str(i) for i in range(n_runs)],
-        checkpoint,
-        {"kind": "run_monte_carlo/v1", "campaign": campaign_key},
-        resume,
-        encode=run_payload,
-        decode=run_from_payload,
-        chunked=True,
-    )
+    executor = driver_executor(executor, n_jobs)
+    config = {"kind": "run_monte_carlo/v1", "campaign": campaign_key}
+    with checkpoint_store(checkpoint, config, resume) as store:
+        values = run_checkpointed(
+            executor,
+            worker,
+            seeds,
+            [str(i) for i in range(n_runs)],
+            store,
+            encode=run_payload,
+            decode=run_from_payload,
+            chunked=True,
+        )
     result = McResult.from_values(design, values)
     if cache is not None and not result.failures:
         cache.put(campaign_key, result.runs)

@@ -23,7 +23,12 @@ from repro.circuit.srlr import (
     straightforward_design,
 )
 from repro.mc.engine import McResult, run_monte_carlo
-from repro.runtime import ParallelExecutor, ProgressHook, ResultCache
+from repro.runtime import (
+    ParallelExecutor,
+    ProgressHook,
+    ResultCache,
+    driver_executor,
+)
 from repro.tech.technology import Technology, tech_45nm_soi
 
 
@@ -115,14 +120,16 @@ def sweep_swing(
     same seed sequence is used at every (swing, variant) point so the
     comparison is paired: every design faces the same set of dies.
 
-    ``n_jobs``/``executor``/``cache``/``progress`` are forwarded to every
-    underlying :func:`run_monte_carlo` block (the dies parallelize; the
-    sweep order stays deterministic regardless of worker count).
+    ``n_jobs`` and ``progress`` build the executor unless a pre-built
+    ``executor`` is given (passing both is a :class:`ConfigurationError`);
+    it and ``cache`` are forwarded to every underlying
+    :func:`run_monte_carlo` block (the dies parallelize; the sweep order
+    stays deterministic regardless of worker count).
     """
     if not swings:
         raise ConfigurationError("swings must not be empty")
     variants = variants or ["robust", "straightforward"]
-    executor = executor or ParallelExecutor(n_jobs=n_jobs, progress=progress)
+    executor = driver_executor(executor, n_jobs, progress)
     sweep = SwingSweep()
     for swing in swings:
         if swing <= 0.0:

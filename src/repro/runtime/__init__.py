@@ -8,7 +8,8 @@ lightweight progress metrics, an opt-in on-disk result cache keyed by a
 content hash of the inputs, a fault-tolerant task layer (timeouts,
 deterministic retries, worker-crash recovery, poison-task quarantine —
 :mod:`repro.runtime.resilience`), and the crash-safe JSONL checkpoint
-store plus the one checkpointed task loop (:func:`run_checkpointed`)
+store plus the one checkpointed task loop (:func:`checkpoint_store`,
+:func:`run_checkpointed`)
 that gives every long-running campaign ``checkpoint=``/``resume=``
 (:mod:`repro.runtime.checkpoint`).
 """
@@ -24,6 +25,7 @@ from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
     callable_token,
+    checkpoint_store,
     git_provenance,
     run_checkpointed,
 )
@@ -31,6 +33,7 @@ from repro.runtime.executor import (
     ParallelExecutor,
     ResultHook,
     SerialFallbackWarning,
+    driver_executor,
     resolve_n_jobs,
 )
 from repro.runtime.metrics import ChunkRecord, ProgressHook, RunMetrics, print_progress
@@ -59,8 +62,10 @@ __all__ = [
     "TaskFailure",
     "TaskOutcome",
     "callable_token",
+    "checkpoint_store",
     "content_key",
     "derived_seed",
+    "driver_executor",
     "git_provenance",
     "print_progress",
     "resolve_n_jobs",

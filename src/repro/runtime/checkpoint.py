@@ -21,11 +21,12 @@ set of crash semantics:
   (:mod:`repro.runtime.seeds`), is what makes an interrupted-and-resumed
   campaign converge to the exact result of an uninterrupted one.
 
-:func:`run_checkpointed` is the replay -> map -> persist loop over the
-store that ``run_monte_carlo``, ``sweep_grid`` and
-``run_fault_campaign`` run; the DSE engine
-(:class:`repro.dse.engine.DseEngine`) stores each evaluation record as a
-payload of the same store.
+:func:`checkpoint_store` opens one run's store (or yields ``None``
+without a path) and closes it on every exit path;
+:func:`run_checkpointed` is the replay -> map -> persist loop over it
+that ``run_monte_carlo``, ``sweep_grid``, ``run_fault_campaign`` and
+the DSE search (:func:`repro.dse.engine.run_dse`, one loop per asked
+batch) all run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import json
 import os
 import subprocess
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -283,14 +285,34 @@ class CheckpointStore:
         self.close()
 
 
+@contextmanager
+def checkpoint_store(
+    path: str | Path | None, config: dict, resume: bool
+) -> Iterator[CheckpointStore | None]:
+    """The open store of one campaign run, or ``None`` without a path.
+
+    Begins the store at ``path`` bound to ``config`` (``resume=True``
+    continues it) and closes it on every exit path; each record was
+    fsynced as it landed, so an exception (even ``KeyboardInterrupt``)
+    never loses completed work.
+    """
+    if path is None:
+        yield None
+        return
+    store = CheckpointStore(path)
+    try:
+        store.begin(config, resume=resume)
+        yield store
+    finally:
+        store.close()
+
+
 def run_checkpointed(
     executor: ParallelExecutor,
     fn: Callable[..., Any],
     items: Sequence[Any],
     keys: Sequence[str],
-    checkpoint: str | Path | None,
-    config: dict,
-    resume: bool,
+    store: CheckpointStore | None,
     encode: Callable[[Any], Any] = _identity,
     decode: Callable[[Any], Any] = _identity,
     chunked: bool = False,
@@ -302,51 +324,42 @@ def run_checkpointed(
     with a :class:`~repro.runtime.TaskFailure` — indexed by campaign
     position — in every quarantined slot.
 
-    With a ``checkpoint`` path, the store is bound to ``config``; item
-    ``i`` is persisted under ``keys[i]`` as ``encode(result)`` the moment
-    its chunk lands, and ``resume=True`` replays ``decode(payload)`` for
-    every stored key and maps only the rest.  A failure is never
-    persisted, so a resumed run retries it.  The store is closed on every
-    exit path; each record was fsynced as it landed, so an exception
-    (even ``KeyboardInterrupt``) never loses completed work.
+    With an open ``store`` (see :func:`checkpoint_store`), item ``i`` is
+    persisted under ``keys[i]`` as ``encode(result)`` the moment its
+    chunk lands, and every key the store already holds is replayed as
+    ``decode(payload)`` instead of mapped.  A failure is never
+    persisted, so a resumed run retries it.
     """
-    store = None if checkpoint is None else CheckpointStore(checkpoint)
-    try:
-        results: list[Any] = [None] * len(items)
-        on_result = None
-        if store is not None:
-            store.begin(config, resume=resume)
-            for i, key in enumerate(keys):
-                if key in store:
-                    results[i] = decode(store.get(key))
+    results: list[Any] = [None] * len(items)
+    on_result = None
+    if store is not None:
+        for i, key in enumerate(keys):
+            if key in store:
+                results[i] = decode(store.get(key))
 
-            def on_result(indices: list[int], values: list) -> None:
-                for j, value in zip(indices, values):
-                    if not isinstance(value, TaskFailure):
-                        store.append(keys[pending[j]], encode(value))
+        def on_result(indices: list[int], values: list) -> None:
+            for j, value in zip(indices, values):
+                if not isinstance(value, TaskFailure):
+                    store.append(keys[pending[j]], encode(value))
 
-        pending = [
-            i for i, key in enumerate(keys) if store is None or key not in store
-        ]
-        if pending:
-            run = executor.map_chunks if chunked else executor.map
-            values = run(fn, [items[i] for i in pending], on_result=on_result)
-            for i, value in zip(pending, values):
-                # The executor saw only the pending subset; re-point a
-                # failure at its campaign position.
-                if isinstance(value, TaskFailure):
-                    value = replace(value, index=i)
-                results[i] = value
-        return results
-    finally:
-        if store is not None:
-            store.close()
+    pending = [i for i, key in enumerate(keys) if store is None or key not in store]
+    if pending:
+        run = executor.map_chunks if chunked else executor.map
+        values = run(fn, [items[i] for i in pending], on_result=on_result)
+        for i, value in zip(pending, values):
+            # The executor saw only the pending subset; re-point a
+            # failure at its campaign position.
+            if isinstance(value, TaskFailure):
+                value = replace(value, index=i)
+            results[i] = value
+    return results
 
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointStore",
     "callable_token",
+    "checkpoint_store",
     "git_provenance",
     "run_checkpointed",
 ]

@@ -593,9 +593,32 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
+def driver_executor(
+    executor: ParallelExecutor | None,
+    n_jobs: int | None = 1,
+    progress: ProgressHook | None = None,
+) -> ParallelExecutor:
+    """The executor a campaign driver runs on.
+
+    A pre-built ``executor`` carries its own worker count and progress
+    hook, so a driver refuses ``n_jobs``/``progress`` alongside it
+    rather than silently dropping them; without one, a fresh executor is
+    built from them.
+    """
+    if executor is None:
+        return ParallelExecutor(n_jobs=n_jobs, progress=progress)
+    if n_jobs != 1 or progress is not None:
+        raise ConfigurationError(
+            "pass n_jobs/progress or a pre-built executor, not both: the"
+            " executor carries its own worker count and progress hook"
+        )
+    return executor
+
+
 __all__ = [
     "ParallelExecutor",
     "ResultHook",
     "SerialFallbackWarning",
+    "driver_executor",
     "resolve_n_jobs",
 ]

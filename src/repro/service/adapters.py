@@ -33,7 +33,7 @@ pickled callables — a submission is data, never code.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable
 
 from repro.analysis.sweep import GridResult, grid_points
@@ -87,6 +87,20 @@ class CampaignAdapter:
     """Interface of one campaign kind (see module docstring)."""
 
     kind: str = ""
+    #: The config keys this kind accepts; any other key is refused.
+    KEYS: frozenset[str] = frozenset()
+
+    def _known(self, config: dict) -> dict:
+        """A copy of ``config``, refusing keys outside :attr:`KEYS` — a
+        misspelt key would otherwise change the campaign hash, or be
+        ignored, instead of failing where it is given."""
+        unknown = sorted(set(config) - self.KEYS)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {self.kind} config keys {unknown}; "
+                f"choose from {sorted(self.KEYS)}"
+            )
+        return dict(config)
 
     def canonical_config(self, config: dict) -> dict:
         """Validate ``config`` and return its canonical (default-filled)
@@ -139,13 +153,7 @@ class MonteCarloAdapter(CampaignAdapter):
     })
 
     def canonical_config(self, config: dict) -> dict:
-        config = dict(config)
-        unknown = sorted(set(config) - self.KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown monte_carlo config keys {unknown}; "
-                f"choose from {sorted(self.KEYS)}"
-            )
+        config = self._known(config)
         design = config.setdefault("design", "robust")
         if design not in DESIGNS:
             raise ConfigurationError(
@@ -254,9 +262,10 @@ class SweepGridAdapter(CampaignAdapter):
     """
 
     kind = "sweep_grid"
+    KEYS = frozenset({"parameters", "evaluator"})
 
     def canonical_config(self, config: dict) -> dict:
-        config = dict(config)
+        config = self._known(config)
         name = config.get("evaluator")
         if name not in GRID_EVALUATORS:
             raise ConfigurationError(
@@ -314,9 +323,10 @@ class FaultCampaignAdapter(CampaignAdapter):
     """
 
     kind = "fault"
+    KEYS = frozenset(f.name for f in fields(FaultCampaignConfig)) | {"trace_hash"}
 
     def canonical_config(self, config: dict) -> dict:
-        cfg = self._config(config)
+        cfg = self._config(self._known(config))
         canonical = asdict(cfg)
         if cfg.workload == "trace":
             # Campaign identity follows the trace's *content*: an edited
@@ -327,9 +337,9 @@ class FaultCampaignAdapter(CampaignAdapter):
 
     @staticmethod
     def _config(config: dict) -> FaultCampaignConfig:
-        fields = dict(config)
-        fields.pop("trace_hash", None)
-        return FaultCampaignConfig(**fields)
+        kwargs = dict(config)
+        kwargs.pop("trace_hash", None)
+        return FaultCampaignConfig(**kwargs)
 
     def expand(self, config: dict) -> list[TaskSpec]:
         cfg = self._config(config)
@@ -381,9 +391,10 @@ class DseBatchAdapter(CampaignAdapter):
     """
 
     kind = "dse_batch"
+    KEYS = frozenset({"evaluator", "evaluator_kwargs", "candidates", "base_seed"})
 
     def canonical_config(self, config: dict) -> dict:
-        config = dict(config)
+        config = self._known(config)
         config.setdefault("evaluator_kwargs", {})
         config.setdefault("base_seed", 2013)
         self._evaluator(config)  # fail early on an unknown evaluator

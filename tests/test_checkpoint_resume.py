@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis.sweep import grid_points, sweep_grid
 from repro.circuit.srlr import robust_design
+from repro.dse import Nsga2Strategy, ParamSpace, Zdt1Evaluator, continuous, run_dse
 from repro.errors import CheckpointError
 from repro.fault import FaultCampaignConfig, run_fault_campaign
 from repro.fault import campaign as fault_campaign
@@ -514,6 +515,7 @@ PINNED_CONFIG_KEYS = {
     "mc": "9506c12350dfd9afdcebe6b2c6e1d90006db13016a57fec15d275a10aaa0ae35",
     "sweep_grid": "99a7a4e4f270217d2ad3dfc6749b133c87f0420a1606bb89d4534f24a1324bd6",
     "fault": "b0453207cac19ceb3481d5ed915394de6ad2f355ad28b403a9a1fe27b345b8f5",
+    "dse": "bed875a65b1ac581dee6ad71886fceb5ccd9245b927e09635a23d53994a1727c",
 }
 
 
@@ -523,6 +525,10 @@ def _pinned_run(driver: str, path: Path) -> None:
     elif driver == "sweep_grid":
         parameters = {"a": (1.0, 2.0, 3.0), "b": (0.5, 0.25)}
         sweep_grid(parameters, _grid_eval, checkpoint=path)
+    elif driver == "dse":
+        space = ParamSpace(tuple(continuous(f"x{i}", 0.0, 1.0) for i in range(3)))
+        strategy = Nsga2Strategy(population=8, generations=1)
+        run_dse(space, Zdt1Evaluator(dimension=3), strategy, checkpoint=path)
     else:
         config = FaultCampaignConfig(
             k=2, warmup=10, measure=20, bers=(1e-3,), protocols=("none",), seed=5

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict
+from typing import ClassVar
 
 import pytest
 
@@ -219,3 +220,55 @@ def test_engine_refuses_nonempty_store_without_resume(tmp_path):
     _run(checkpoint=path)
     with pytest.raises(CheckpointError, match="resume=True"):
         _run(checkpoint=path)
+
+
+class _InterruptedZdt1(Zdt1Evaluator):
+    """ZDT1 that raises ``KeyboardInterrupt`` on call ``interrupt_at``.
+
+    The call counter is class state, not a dataclass field, so it stays
+    out of the candidate keys and the store's run configuration: the
+    interrupted and the resumed run are the same search.
+    """
+
+    calls: ClassVar[int] = 0
+    interrupt_at: ClassVar[int] = 0  # 0: never
+
+    def __call__(self, params, seed):
+        type(self).calls += 1
+        if type(self).calls == self.interrupt_at:
+            raise KeyboardInterrupt
+        return super().__call__(params, seed)
+
+
+def _records(result) -> list[tuple]:
+    return [
+        (r.key, r.params, r.seed, r.feasible, r.objectives) for r in result.records
+    ]
+
+
+def test_interrupt_mid_batch_keeps_completed_evaluations(tmp_path, monkeypatch):
+    """Ctrl-C on the 8th evaluation of a 10-candidate batch: the
+    evaluations that completed before it are already in the store, and a
+    resume computes only the rest."""
+
+    def run(**kwargs):
+        return run_dse(
+            _space(), _InterruptedZdt1(dimension=3), LhsStrategy(n_samples=10),
+            base_seed=5, **kwargs,
+        )
+
+    baseline = run()
+    path = tmp_path / "run.jsonl"
+    monkeypatch.setattr(_InterruptedZdt1, "calls", 0)
+    monkeypatch.setattr(_InterruptedZdt1, "interrupt_at", 8)
+    with pytest.raises(KeyboardInterrupt):
+        run(checkpoint=path)
+    stored = len(_store_lines(path)) - 1  # minus the header
+    assert stored >= 1
+
+    monkeypatch.setattr(_InterruptedZdt1, "interrupt_at", 0)
+    resumed = run(checkpoint=path, resume=True)
+    assert resumed.n_replayed == stored
+    assert resumed.n_evaluated == 10 - stored
+    assert _records(resumed) == _records(baseline)
+    assert _front_key(resumed) == _front_key(baseline)

@@ -18,12 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import sweep_grid
+from repro.circuit.srlr import robust_design
 from repro.errors import (
     ConfigurationError,
     ExecutionError,
     TaskTimeoutError,
     WorkerCrashError,
 )
+from repro.fault import run_fault_campaign
+from repro.mc import run_monte_carlo, sweep_swing
 from repro.runtime import (
     MISS,
     ParallelExecutor,
@@ -261,6 +265,39 @@ def test_strict_crash_raises_worker_crash():
     )
     with pytest.raises(WorkerCrashError):
         executor.map(_suicidal, ITEMS)
+
+
+# --- drivers refuse execution knobs they would drop -----------------------------------
+
+
+def _driver_with_executor(driver: str, executor: ParallelExecutor, **knobs):
+    if driver == "run_monte_carlo":
+        return run_monte_carlo(robust_design(), n_runs=2, executor=executor, **knobs)
+    if driver == "sweep_grid":
+        return sweep_grid({"x": [1.0]}, _double_point, executor=executor, **knobs)
+    if driver == "run_fault_campaign":
+        return run_fault_campaign(executor=executor, **knobs)
+    return sweep_swing([0.3], n_runs=2, executor=executor, **knobs)
+
+
+def _double_point(point: dict) -> dict:
+    return {"y": 2.0 * point["x"]}
+
+
+@pytest.mark.parametrize(
+    "driver", ["run_monte_carlo", "sweep_grid", "run_fault_campaign", "sweep_swing"]
+)
+def test_driver_refuses_n_jobs_alongside_an_executor(driver):
+    """A pre-built executor carries its own worker count (and progress
+    hook), so a driver given ``n_jobs`` too refuses before any work
+    rather than silently running on the executor's count."""
+    executor = ParallelExecutor(resilience=ResilienceConfig())
+    with pytest.raises(ConfigurationError, match="not both"):
+        _driver_with_executor(driver, executor, n_jobs=4)
+    assert executor.last_metrics is None  # refused before mapping anything
+    if driver == "sweep_swing":
+        with pytest.raises(ConfigurationError, match="not both"):
+            _driver_with_executor(driver, executor, progress=lambda metrics: None)
 
 
 # --- on_result hook --------------------------------------------------------------------

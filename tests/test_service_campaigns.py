@@ -167,6 +167,11 @@ def test_expansion_is_deterministic():
         ("dse_batch", {"evaluator": "zdt1", "candidates": []}),
         ("monte_carlo", {"bit_period": 0.0}),
         ("monte_carlo", {"pattern": [0, 1, 2]}),
+        ("sweep_grid", {"parameters": {"x": [1.0]}, "evaluator": "poly",
+                        "evaluater_kwargs": {"a": 1}}),
+        ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
+                       "base_sed": 1}),
+        ("fault", {"berz": [0.001]}),
     ],
 )
 def test_invalid_configs_fail_at_submit_time(kind, bad):
