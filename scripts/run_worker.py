@@ -4,11 +4,12 @@
 Run:  PYTHONPATH=src python scripts/run_worker.py --db campaigns.sqlite [--drain]
 
 Start as many of these as you like (any machine that can see the
-database file); each leases one task row at a time under a heartbeat +
-lease-expiry protocol, executes it through the resilient executor, and
-commits a bitwise-deterministic payload.  Killing a worker — even with
-SIGKILL — loses nothing: its leases expire and other workers pick the
-rows back up.  See docs/SERVICE.md.
+database file); each leases task rows in batches of about 50 ms of work
+(one row at a time when a task takes longer) under a heartbeat +
+lease-expiry protocol, executes them through the resilient executor,
+and commits their bitwise-deterministic payloads in one transaction.
+Killing a worker — even with SIGKILL — loses nothing: its leases expire
+and other workers pick the rows back up.  See docs/SERVICE.md.
 """
 
 from __future__ import annotations

@@ -213,6 +213,10 @@ def run_dse(
     worker = partial(_evaluate_record, evaluator)
     objectives = tuple(evaluator.objectives)
     hits_before = cache.hits if cache is not None else 0
+    cache_put = None
+    if cache is not None:
+        def cache_put(key: str, record: EvalRecord) -> None:
+            cache.put(key, (record.objectives, record.reason))
     records: dict[str, EvalRecord] = {}  # first-met order, one per key
     n_evaluated = n_replayed = generation = 0
     config = {  # what a store binds to: resume needs all of it unchanged
@@ -255,16 +259,14 @@ def run_dse(
                     tasks.setdefault(key, (key, generation, i, params, seed))
                 slots.append(key if record is None else record)
 
-            # Evaluated records persist as their executor chunk lands.
+            # Evaluated records reach the store and the cache as their
+            # executor chunk lands.
             fresh = run_checkpointed(
                 executor, worker, list(tasks.values()), list(tasks), store,
-                encode=asdict,
+                encode=asdict, on_value=cache_put,
             )
             computed = dict(zip(tasks, fresh))
             n_evaluated += len(computed)
-            if cache is not None:
-                for key, record in computed.items():
-                    cache.put(key, (record.objectives, record.reason))
             resolved = [computed[s] if isinstance(s, str) else s for s in slots]
             for record in resolved:
                 if record.key not in records:

@@ -316,6 +316,7 @@ def run_checkpointed(
     encode: Callable[[Any], Any] = _identity,
     decode: Callable[[Any], Any] = _identity,
     chunked: bool = False,
+    on_value: Callable[[str, Any], None] | None = None,
 ) -> list[Any]:
     """The checkpointed task loop behind every in-process campaign driver.
 
@@ -328,19 +329,24 @@ def run_checkpointed(
     persisted under ``keys[i]`` as ``encode(result)`` the moment its
     chunk lands, and every key the store already holds is replayed as
     ``decode(payload)`` instead of mapped.  A failure is never
-    persisted, so a resumed run retries it.
+    persisted, so a resumed run retries it.  ``on_value(key, result)``,
+    if given, is called for every fresh result that is not a failure as
+    its chunk lands (after the store holds it).
     """
     results: list[Any] = [None] * len(items)
-    on_result = None
     if store is not None:
         for i, key in enumerate(keys):
             if key in store:
                 results[i] = decode(store.get(key))
 
-        def on_result(indices: list[int], values: list) -> None:
-            for j, value in zip(indices, values):
-                if not isinstance(value, TaskFailure):
-                    store.append(keys[pending[j]], encode(value))
+    def on_result(indices: list[int], values: list) -> None:
+        for j, value in zip(indices, values):
+            if not isinstance(value, TaskFailure):
+                key = keys[pending[j]]
+                if store is not None:
+                    store.append(key, encode(value))
+                if on_value is not None:
+                    on_value(key, value)
 
     pending = [i for i, key in enumerate(keys) if store is None or key not in store]
     if pending:

@@ -29,7 +29,8 @@ Workers never mark rows in-progress optimistically; they **lease** them:
 
 * :meth:`CampaignDB.lease` atomically (``BEGIN IMMEDIATE``) claims up to
   ``n`` rows that are ``open`` *or* ``leased`` with an expired lease,
-  setting ``lease_owner``/``lease_expires`` and bumping ``attempts``;
+  in ``(campaign, task_index)`` order, setting
+  ``lease_owner``/``lease_expires`` and bumping ``attempts``;
 * workers extend their leases with :meth:`heartbeat` while computing —
   a SIGKILLed worker simply stops heartbeating and its rows return to
   the queue when the lease expires, with nothing to clean up;
@@ -38,7 +39,8 @@ Workers never mark rows in-progress optimistically; they **lease** them:
   ``UPDATE ... WHERE status='leased' AND lease_owner=?`` makes
   double completion impossible — when a slow worker's lease expired and
   the row was re-leased or completed by someone else, its late commit
-  is rejected and reported as lost.
+  is rejected and reported as lost.  Several completions can share one
+  commit (:meth:`CampaignDB.transaction`); each row keeps its own guard.
 
 Because every task payload is a pure function of (campaign config, task
 spec) with content-addressed RNG seeds, a lost race loses no
@@ -52,11 +54,14 @@ diagnostics only and never influence computed results.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import sqlite3
 import time
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 from repro.errors import CampaignMismatchError, ServiceError
@@ -104,6 +109,8 @@ CREATE TABLE IF NOT EXISTS tasks (
 );
 CREATE INDEX IF NOT EXISTS idx_tasks_claimable
     ON tasks (status, lease_expires);
+CREATE INDEX IF NOT EXISTS idx_tasks_claim_order
+    ON tasks (status, campaign_id, task_index);
 CREATE TABLE IF NOT EXISTS workers (
     worker_id        TEXT PRIMARY KEY,
     started          REAL NOT NULL,
@@ -115,6 +122,13 @@ CREATE TABLE IF NOT EXISTS workers (
     cache_put_errors INTEGER NOT NULL DEFAULT 0
 );
 """
+
+
+#: What a lease reads of each claimable task row.
+_CLAIM_COLUMNS = "rowid AS rid, campaign_id, task_key, task_index, spec, attempts"
+
+#: The order rows are claimed in (``ORDER BY campaign_id, task_index``).
+_claim_order = itemgetter("campaign_id", "task_index")
 
 
 def canonical_config_json(config: dict) -> str:
@@ -210,9 +224,10 @@ class CampaignDB:
 
     def _init_schema(self) -> None:
         # executescript manages its own transaction boundaries, so it
-        # runs outside _write(); the DDL is idempotent (IF NOT EXISTS).
+        # runs outside transaction(); the DDL is idempotent (IF NOT
+        # EXISTS), so a file made before an index existed gains it here.
         self._conn.executescript(_SCHEMA)
-        with self._write():
+        with self.transaction():
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value)"
                 " VALUES ('schema_version', ?)",
@@ -227,8 +242,14 @@ class CampaignDB:
                 f"{SCHEMA_VERSION}; migrate or use a fresh database"
             )
 
-    def _write(self):
-        """An immediate write transaction (serializes against other writers)."""
+    def transaction(self):
+        """An immediate write transaction (serializes against other writers).
+
+        Re-entrant: every write method runs in one, and calls made inside
+        an open transaction join it, so a caller can commit several of
+        them (a worker's batch of ``complete``/``fail`` calls and its
+        ``record_worker``) at once.
+        """
         return _WriteTransaction(self._conn)
 
     def close(self) -> None:
@@ -260,7 +281,7 @@ class CampaignDB:
         """
         now = time.time() if now is None else now
         config_key = campaign_config_key(kind, config)
-        with self._write():
+        with self.transaction():
             row = self._conn.execute(
                 "SELECT id, kind, config_key FROM campaigns WHERE name=?",
                 (name,),
@@ -322,51 +343,72 @@ class CampaignDB:
         Claimable rows are ``open`` ones plus ``leased`` ones whose lease
         expired (their worker died or stalled past its heartbeat) —
         re-leasing bumps ``attempts``.  Rows are claimed in (campaign,
-        task_index) order so early tasks finish first.
+        task_index) order so early tasks finish first.  The open rows
+        are read in that order straight off the ``idx_tasks_claim_order``
+        index and the expired leases by a query of their own; the two
+        are merged, so a lease costs the same however many rows are open.
         """
         if n < 1:
             raise ServiceError(f"lease size must be >= 1, got {n}")
         now = time.time() if now is None else now
-        where = "(t.status='open' OR (t.status='leased' AND t.lease_expires < ?))"
-        args: list = [now]
-        if campaign is not None:
-            where += " AND c.name=?"
-            args.append(campaign)
-        with self._write():
-            rows = self._conn.execute(
-                f"""
-                SELECT t.rowid AS rid, t.campaign_id, t.task_key,
-                       t.task_index, t.spec, t.attempts,
-                       c.name, c.kind, c.config, c.config_key
-                FROM tasks t JOIN campaigns c ON c.id = t.campaign_id
-                WHERE {where}
-                ORDER BY t.campaign_id, t.task_index
-                LIMIT ?
-                """,
+        with self.transaction():
+            where, args = "", ()
+            if campaign is not None:
+                row = self._conn.execute(
+                    "SELECT id FROM campaigns WHERE name=?", (campaign,)
+                ).fetchone()
+                if row is None:
+                    return []
+                where, args = " AND campaign_id=?", (row["id"],)
+            open_rows = self._conn.execute(
+                f"SELECT {_CLAIM_COLUMNS} FROM tasks WHERE status='open'"
+                f"{where} ORDER BY campaign_id, task_index LIMIT ?",
                 (*args, n),
             ).fetchall()
+            expired_rows = self._conn.execute(
+                f"SELECT {_CLAIM_COLUMNS} FROM tasks WHERE status='leased'"
+                f" AND lease_expires < ?{where}"
+                " ORDER BY campaign_id, task_index LIMIT ?",
+                (now, *args, n),
+            ).fetchall()
+            rows = list(islice(
+                heapq.merge(open_rows, expired_rows, key=_claim_order), n
+            ))
+            if not rows:
+                return []
+            ids = list({row["campaign_id"] for row in rows})
+            campaigns = {
+                c["id"]: (c, json.loads(c["config"]))
+                for c in self._conn.execute(
+                    "SELECT id, name, kind, config, config_key FROM campaigns"
+                    f" WHERE id IN ({', '.join('?' * len(ids))})",
+                    ids,
+                )
+            }
             expires = now + lease_seconds
-            leased: list[LeasedTask] = []
-            for row in rows:
-                self._conn.execute(
-                    "UPDATE tasks SET status='leased', lease_owner=?,"
-                    " lease_expires=?, attempts=attempts+1 WHERE rowid=?",
-                    (worker_id, expires, row["rid"]),
+            self._conn.executemany(
+                "UPDATE tasks SET status='leased', lease_owner=?,"
+                " lease_expires=?, attempts=attempts+1 WHERE rowid=?",
+                [(worker_id, expires, row["rid"]) for row in rows],
+            )
+        leased = []
+        for row in rows:
+            # The tasks of one campaign share its decoded config.
+            c, config = campaigns[row["campaign_id"]]
+            leased.append(
+                LeasedTask(
+                    campaign_id=row["campaign_id"],
+                    campaign_name=c["name"],
+                    kind=c["kind"],
+                    config=config,
+                    config_key=c["config_key"],
+                    task_key=row["task_key"],
+                    task_index=row["task_index"],
+                    spec=json.loads(row["spec"]),
+                    attempts=row["attempts"] + 1,
+                    lease_expires=expires,
                 )
-                leased.append(
-                    LeasedTask(
-                        campaign_id=row["campaign_id"],
-                        campaign_name=row["name"],
-                        kind=row["kind"],
-                        config=json.loads(row["config"]),
-                        config_key=row["config_key"],
-                        task_key=row["task_key"],
-                        task_index=row["task_index"],
-                        spec=json.loads(row["spec"]),
-                        attempts=row["attempts"] + 1,
-                        lease_expires=expires,
-                    )
-                )
+            )
         return leased
 
     def heartbeat(
@@ -384,7 +426,7 @@ class CampaignDB:
         """
         now = time.time() if now is None else now
         extended = 0
-        with self._write():
+        with self.transaction():
             for campaign_id, task_key in held:
                 cursor = self._conn.execute(
                     "UPDATE tasks SET lease_expires=? WHERE campaign_id=?"
@@ -416,7 +458,7 @@ class CampaignDB:
         """Return all of the caller's live leases to the open queue
         (graceful shutdown; a SIGKILLed worker relies on expiry instead).
         """
-        with self._write():
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE tasks SET status='open', lease_owner=NULL,"
                 " lease_expires=NULL WHERE status='leased' AND lease_owner=?",
@@ -442,7 +484,7 @@ class CampaignDB:
         (and, results being bitwise-deterministic, lost nothing).
         """
         now = time.time() if now is None else now
-        with self._write():
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE tasks SET status='done', result=?, error=NULL,"
                 " lease_owner=NULL, lease_expires=NULL, completed_by=?,"
@@ -475,7 +517,7 @@ class CampaignDB:
         ``"lost"`` (the caller no longer owned the lease — someone else
         already claimed or completed the row).
         """
-        with self._write():
+        with self.transaction():
             row = self._conn.execute(
                 "SELECT attempts FROM tasks WHERE campaign_id=? AND"
                 " task_key=? AND status='leased' AND lease_owner=?",
@@ -501,7 +543,7 @@ class CampaignDB:
     def retry_failed(self, name: str) -> int:
         """Requeue every ``failed`` row of a campaign; returns the count."""
         campaign_id = self._campaign_id(name)
-        with self._write():
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE tasks SET status='open', error=NULL, attempts=0"
                 " WHERE campaign_id=? AND status='failed'",
@@ -523,7 +565,7 @@ class CampaignDB:
     ) -> None:
         """Accumulate a worker's progress counters (absolute deltas)."""
         now = time.time() if now is None else now
-        with self._write():
+        with self.transaction():
             self._conn.execute(
                 "INSERT INTO workers (worker_id, started, last_seen,"
                 " tasks_done, tasks_failed, cache_hits, cache_misses,"
@@ -661,16 +703,23 @@ class CampaignDB:
 
 
 class _WriteTransaction:
-    """``BEGIN IMMEDIATE`` .. ``COMMIT``/``ROLLBACK`` as a context manager."""
+    """``BEGIN IMMEDIATE`` .. ``COMMIT``/``ROLLBACK`` as a context manager;
+    a no-op inside a transaction already open on the connection (the
+    outermost one commits or rolls back everything)."""
 
     def __init__(self, conn: sqlite3.Connection) -> None:
         self._conn = conn
+        self._outer = False
 
     def __enter__(self) -> sqlite3.Connection:
-        self._conn.execute("BEGIN IMMEDIATE")
+        self._outer = not self._conn.in_transaction
+        if self._outer:
+            self._conn.execute("BEGIN IMMEDIATE")
         return self._conn
 
     def __exit__(self, exc_type, *exc_info) -> None:
+        if not self._outer:
+            return
         if exc_type is None:
             self._conn.execute("COMMIT")
         else:

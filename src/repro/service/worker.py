@@ -4,21 +4,28 @@
 them — across machines sharing the database file — drain the same
 queue.  The loop:
 
-1. :meth:`CampaignDB.lease` claims a task row (open, or expired-lease);
-2. a daemon heartbeat thread extends the lease every
-   ``lease_seconds / 3`` while the task computes, so long tasks never
+1. :meth:`CampaignDB.lease` claims a batch of task rows (open, or
+   expired-lease).  The first lease takes one row; each later one takes
+   as many as the previous batch's mean task time fits into
+   :data:`BATCH_BUDGET_S`, capped at :data:`MAX_BATCH` (and by
+   ``max_tasks``), so a task slower than the budget is leased alone;
+2. a daemon heartbeat thread extends every leased row every
+   ``lease_seconds / 3`` while the batch computes, so long tasks never
    expire under a live worker — and a SIGKILLed worker's rows return to
    the queue one lease period later with no cleanup;
-3. the task executes once, in-process, through
+3. each task executes once, in-process, through
    :class:`repro.runtime.ParallelExecutor` under a
    :class:`repro.runtime.ResilienceConfig` with the optional soft
    ``timeout`` and no in-process retries: an exception or timeout
    becomes a :class:`~repro.runtime.TaskFailure`;
-4. :meth:`CampaignDB.complete` commits the payload under the lease-owner
-   guard (a lost race after an expiry is counted, not an error — the
-   winner's payload is byte-identical), or :meth:`CampaignDB.fail`
-   requeues the task, or parks it once its ``max_attempts`` leases are
-   spent — the queue's attempt count is the only retry budget.
+4. one transaction commits the batch: :meth:`CampaignDB.complete` per
+   payload under its row's lease-owner guard (a lost race after an
+   expiry is counted, not an error — the winner's payload is
+   byte-identical), or :meth:`CampaignDB.fail`, which requeues the task
+   or parks it once its ``max_attempts`` leases are spent — the queue's
+   attempt count is the only retry budget — plus the worker's summed
+   counters.  An exception (``KeyboardInterrupt`` included) still
+   commits the tasks that finished; the rows not reached are released.
 
 An optional shared :class:`repro.runtime.ResultCache` short-circuits
 tasks whose ``(kind, campaign config hash, task key)`` content identity
@@ -44,6 +51,22 @@ from repro.runtime import (
 )
 from repro.service.adapters import get_adapter
 from repro.service.db import CampaignDB, LeasedTask, default_worker_id
+
+
+#: Wall-clock budget of one lease batch, in seconds (see batch_size).
+#: It bounds what a SIGKILL can strand until the lease expires: one
+#: batch, about this much work, or one task if that is longer.  At 50 ms
+#: the cap below binds for every task up to ~3 ms, e.g. an
+#: ``srlr_energy`` grid cell (~1.2 ms on a 2-vCPU Xeon VM, ~2.2 ms in its
+#: slow state), and a 10 ms task still gets batches of five.
+BATCH_BUDGET_S = 0.05
+
+#: Most tasks one lease takes.  A lease plus a commit cost ~0.4 ms per
+#: batch; measured queue time per ``srlr_energy`` cell (200-cell sweep,
+#: same VM) was 0.65 ms at 1 task per batch, 0.33 ms at 8, 0.27 ms at 16
+#: and 0.26 ms at 32, so past 16 a larger batch buys ~1% of a task and
+#: strands more rows on a kill.
+MAX_BATCH = 16
 
 
 def execute_task(item: tuple[str, dict, dict]) -> dict:
@@ -93,13 +116,13 @@ class _Heartbeat:
         self._stop.set()
         self._thread.join(timeout=5.0)
 
-    def hold(self, campaign_id: int, task_key: str) -> None:
+    def hold(self, rows: list[tuple[int, str]]) -> None:
         with self._lock:
-            self._held.add((campaign_id, task_key))
+            self._held.update(rows)
 
-    def drop(self, campaign_id: int, task_key: str) -> None:
+    def drop(self, rows: list[tuple[int, str]]) -> None:
         with self._lock:
-            self._held.discard((campaign_id, task_key))
+            self._held.difference_update(rows)
 
     def _run(self) -> None:
         db = CampaignDB(self._db_path)
@@ -110,6 +133,15 @@ class _Heartbeat:
                 db.heartbeat(self._worker_id, held, self._lease_seconds)
         finally:
             db.close()
+
+
+def batch_size(mean_task_s: float) -> int:
+    """How many tasks the next lease takes, after a batch whose tasks
+    took ``mean_task_s`` each: as many as fit into
+    :data:`BATCH_BUDGET_S`, at least one and at most :data:`MAX_BATCH`."""
+    if mean_task_s <= 0.0:
+        return MAX_BATCH
+    return max(1, min(MAX_BATCH, int(BATCH_BUDGET_S / mean_task_s)))
 
 
 def run_worker(
@@ -129,8 +161,8 @@ def run_worker(
     ``drain=True`` exits once every task row (of ``campaign``, or of the
     whole database) is settled — it keeps polling while rows are leased
     elsewhere, so a drain-mode worker outlives a crashed peer and picks
-    up its expired leases.  ``max_tasks`` bounds the number of leases
-    this call executes (testing / fair-share).  ``timeout`` is the soft
+    up its expired leases.  ``max_tasks`` bounds the number of tasks
+    this call settles (testing / fair-share).  ``timeout`` is the soft
     per-task budget in seconds (``None``: unbounded).  A task that
     raises or times out runs exactly ``max_attempts`` times in all,
     once per lease, before its row is parked as failed.
@@ -144,10 +176,14 @@ def run_worker(
     heartbeat = _Heartbeat(db_path, worker_id, lease_seconds)
     heartbeat.start()
     db.record_worker(worker_id)  # announce before the first lease
+    size = 1  # the first batch measures how long a task takes
     try:
         while max_tasks is None or report.tasks_done + report.tasks_failed < max_tasks:
+            n = size
+            if max_tasks is not None:
+                n = min(n, max_tasks - report.tasks_done - report.tasks_failed)
             leased = db.lease(
-                worker_id, n=1, lease_seconds=lease_seconds, campaign=campaign
+                worker_id, n=n, lease_seconds=lease_seconds, campaign=campaign
             )
             if not leased:
                 if drain and db.incomplete_count(campaign) == 0:
@@ -156,12 +192,19 @@ def run_worker(
                 # or a dead peer's leases may expire — keep polling.
                 time.sleep(poll_seconds)
                 continue
-            task = leased[0]
-            heartbeat.hold(task.campaign_id, task.task_key)
+            held = [(task.campaign_id, task.task_key) for task in leased]
+            heartbeat.hold(held)
+            finished: list[tuple[LeasedTask, dict | TaskFailure]] = []
             try:
-                _execute_one(task, db, executor, cache, report, max_attempts)
+                started = time.perf_counter()
+                for task in leased:
+                    finished.append((task, _execute_one(task, executor, cache, report)))
+                size = batch_size((time.perf_counter() - started) / len(leased))
             finally:
-                heartbeat.drop(task.campaign_id, task.task_key)
+                # Interrupted or not, what finished is committed; rows
+                # not reached are released below.
+                _commit(db, finished, report, max_attempts)
+                heartbeat.drop(held)
     finally:
         heartbeat.stop()
         db.release(worker_id)
@@ -177,49 +220,73 @@ def run_worker(
 
 def _execute_one(
     task: LeasedTask,
-    db: CampaignDB,
     executor: ParallelExecutor,
     cache: ResultCache | None,
     report: WorkerReport,
-    max_attempts: int,
-) -> None:
-    payload = MISS
+) -> dict | TaskFailure:
+    """One task's payload (from the cache, or computed), or its
+    :class:`~repro.runtime.TaskFailure`."""
     if cache is not None:
         payload = cache.get(task_cache_key(task))
         if payload is not MISS:
             report.cache_hits += 1
-    if payload is MISS:
-        value = executor.map(
-            execute_task, [(task.kind, task.config, task.spec)]
-        )[0]
-        if isinstance(value, TaskFailure):
-            outcome = db.fail(
-                report.worker_id,
-                task.campaign_id,
-                task.task_key,
-                value.summary(),
-                max_attempts=max_attempts,
-            )
-            if outcome == "lost":
-                report.lost_races += 1
+            return payload
+    value = executor.map(execute_task, [(task.kind, task.config, task.spec)])[0]
+    if cache is not None and not isinstance(value, TaskFailure):
+        cache.put(task_cache_key(task), value)
+    return value
+
+
+def _commit(
+    db: CampaignDB,
+    finished: list[tuple[LeasedTask, dict | TaskFailure]],
+    report: WorkerReport,
+    max_attempts: int,
+) -> None:
+    """Commit a batch's results and the worker's counters in one
+    transaction; each row keeps its own lease-owner guard."""
+    if not finished:
+        return
+    done = failed = lost = 0
+    failures = []
+    with db.transaction():
+        for task, value in finished:
+            if isinstance(value, TaskFailure):
+                outcome = db.fail(
+                    report.worker_id,
+                    task.campaign_id,
+                    task.task_key,
+                    value.summary(),
+                    max_attempts=max_attempts,
+                )
+                if outcome == "lost":
+                    lost += 1
+                else:
+                    failed += 1
+                    failures.append(f"{task.task_key}: {value.summary()}")
+            elif db.complete(
+                report.worker_id, task.campaign_id, task.task_key, value
+            ):
+                done += 1
             else:
-                report.tasks_failed += 1
-                report.failures.append(f"{task.task_key}: {value.summary()}")
-                db.record_worker(report.worker_id, tasks_failed=1)
-            return
-        payload = value
-        if cache is not None:
-            cache.put(task_cache_key(task), payload)
-    if db.complete(
-        report.worker_id, task.campaign_id, task.task_key, payload
-    ):
-        report.tasks_done += 1
-        db.record_worker(report.worker_id, tasks_done=1)
-    else:
-        # Our lease expired and another worker claimed or completed the
-        # row; its committed payload is byte-identical to ours, so the
-        # race loses nothing (see db.py module docstring).
-        report.lost_races += 1
+                # Our lease expired and another worker claimed or
+                # completed the row; its committed payload is
+                # byte-identical to ours, so the race loses nothing (see
+                # db.py module docstring).
+                lost += 1
+        db.record_worker(report.worker_id, tasks_done=done, tasks_failed=failed)
+    report.tasks_done += done
+    report.tasks_failed += failed
+    report.lost_races += lost
+    report.failures.extend(failures)
 
 
-__all__ = ["WorkerReport", "execute_task", "run_worker", "task_cache_key"]
+__all__ = [
+    "BATCH_BUDGET_S",
+    "MAX_BATCH",
+    "WorkerReport",
+    "batch_size",
+    "execute_task",
+    "run_worker",
+    "task_cache_key",
+]

@@ -27,7 +27,7 @@ from repro.dse import (
     run_dse,
 )
 from repro.errors import CheckpointError
-from repro.runtime import CheckpointStore, content_key
+from repro.runtime import CheckpointStore, ResultCache, content_key
 
 
 def _space(d: int = 3) -> ParamSpace:
@@ -272,3 +272,22 @@ def test_interrupt_mid_batch_keeps_completed_evaluations(tmp_path, monkeypatch):
     assert resumed.n_evaluated == 10 - stored
     assert _records(resumed) == _records(baseline)
     assert _front_key(resumed) == _front_key(baseline)
+
+
+def test_interrupt_mid_batch_keeps_completed_evaluations_in_cache(
+    tmp_path, monkeypatch
+):
+    """The cache, like the store, receives each evaluation as its
+    executor chunk lands: Ctrl-C on the 8th of 10 candidates (chunks of
+    three) leaves the six of the two finished chunks in both."""
+    path = tmp_path / "run.jsonl"
+    cache = ResultCache(tmp_path / "cache")
+    monkeypatch.setattr(_InterruptedZdt1, "calls", 0)
+    monkeypatch.setattr(_InterruptedZdt1, "interrupt_at", 8)
+    with pytest.raises(KeyboardInterrupt):
+        run_dse(
+            _space(), _InterruptedZdt1(dimension=3), LhsStrategy(n_samples=10),
+            base_seed=5, cache=cache, checkpoint=path,
+        )
+    assert len(_store_lines(path)) - 1 == 6
+    assert cache.stats().entries == 6
