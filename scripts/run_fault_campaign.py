@@ -31,6 +31,12 @@ uninterrupted run.  ``--task-timeout``/``--retries`` opt points into the
 resilient task layer (docs/RESILIENCE.md): a point that exhausts its
 budget is quarantined and reported instead of aborting the campaign.
 
+Every campaign parameter is a flag generated from a
+:class:`~repro.fault.FaultCampaignConfig` field (``--<field>``, plus
+``--rate`` for ``injection_rate`` and ``--no-coupling``), so ``--help``
+lists them all with their defaults; a flag left off keeps the field's
+default.
+
 For a fixed ``--seed``, per-link fault counts and every summary
 statistic are bitwise identical for any ``--jobs`` value (fault RNG
 streams are content-addressed per link; see docs/FAULTS.md).
@@ -44,14 +50,12 @@ import time
 
 from repro.errors import ConfigurationError
 from repro.fault import (
-    PROTOCOLS,
     FaultCampaignConfig,
     format_fault_report,
     run_fault_campaign,
 )
-from repro.noc.topology import TOPOLOGY_KINDS
+from repro.fault.campaign import add_config_flags, config_flag_values
 from repro.runtime import ParallelExecutor, ResilienceConfig
-from repro.workload import COLLECTIVES, PAYLOAD_MODES, WORKLOADS
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -60,78 +64,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         description="Effective fJ/bit/mm and goodput vs raw link BER "
         "per protection scheme.",
     )
-    parser.add_argument("--k", type=int, default=4,
-                        help="router-grid radix; per-chiplet local mesh "
-                        "radix for --topology chiplet (default: 4)")
-    parser.add_argument("--topology", choices=sorted(TOPOLOGY_KINDS),
-                        default="mesh",
-                        help="topology family (default: mesh)")
-    parser.add_argument("--concentration", type=int, default=1, metavar="C",
-                        help="cores per router for --topology cmesh "
-                        "(default: 1, i.e. unset)")
-    parser.add_argument("--chiplets-x", type=int, default=1, metavar="N",
-                        help="chiplet grid width for --topology chiplet")
-    parser.add_argument("--chiplets-y", type=int, default=1, metavar="N",
-                        help="chiplet grid height for --topology chiplet")
-    parser.add_argument("--noi-scale", type=float, default=2.0, metavar="X",
-                        help="NoI link length multiplier for --topology "
-                        "chiplet (default: 2.0)")
-    parser.add_argument("--rate", type=float, default=0.05, metavar="R",
-                        help="injection rate, packets/node/cycle (default: 0.05)")
-    parser.add_argument("--pattern", default="uniform",
-                        help="traffic pattern (default: uniform)")
-    parser.add_argument("--size-flits", type=int, default=2, metavar="N",
-                        help="flits per packet (default: 2)")
-    parser.add_argument("--warmup", type=int, default=100)
-    parser.add_argument("--measure", type=int, default=400)
-    parser.add_argument("--drain-limit", type=int, default=20_000)
-    parser.add_argument("--bers", type=float, nargs="+", metavar="BER",
-                        default=[1e-6, 1e-4, 1e-3, 1e-2],
-                        help="raw per-bit error rates to sweep")
-    parser.add_argument("--protocols", nargs="+", choices=PROTOCOLS,
-                        default=list(PROTOCOLS),
-                        help="protection schemes (default: all)")
-    parser.add_argument("--datapath", choices=["srlr", "full_swing"],
-                        default="srlr",
-                        help="datapath energy model (default: srlr)")
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default="fast",
-                        help="NoC cycle-loop engine (default: fast; both "
-                        "produce identical results)")
-    parser.add_argument("--multicast-fraction", type=float, default=0.0,
-                        metavar="F",
-                        help="share of injected packets that are multicast "
-                        "(default: 0; forces the reference engine with an "
-                        "explicit EngineFallbackWarning when --engine fast)")
-    parser.add_argument("--multicast-degree", type=int, default=4, metavar="D",
-                        help="destinations per multicast packet (default: 4)")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        default="synthetic",
-                        help="workload family (default: synthetic)")
-    parser.add_argument("--trace-path", default=None, metavar="FILE",
-                        help="trace file to replay (--workload trace)")
-    parser.add_argument("--burst-on", type=float, default=0.05, metavar="P",
-                        help="Markov P(off->on) per cycle (--workload bursty)")
-    parser.add_argument("--burst-off", type=float, default=0.15, metavar="P",
-                        help="Markov P(on->off) per cycle (--workload bursty)")
-    parser.add_argument("--collective-fraction", type=float, default=0.25,
-                        metavar="F",
-                        help="multicast share (--workload collective)")
-    parser.add_argument("--collective", choices=sorted(COLLECTIVES),
-                        default="row",
-                        help="collective destination set (default: row)")
-    parser.add_argument("--payload-mode", choices=sorted(PAYLOAD_MODES),
-                        default="constant",
-                        help="what bits flits carry; non-constant switches "
-                        "link pricing to counted bit transitions "
-                        "(default: constant)")
-    parser.add_argument("--no-coupling", action="store_true",
-                        help="drop the crosstalk coupling term from "
-                        "data-dependent link pricing")
+    add_config_flags(parser)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (0 = all cores)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="base seed (default: 7)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI-sized run: 3x3 mesh, short windows, "
                         "one high BER, every protocol once")
@@ -155,47 +90,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def build_config(args: argparse.Namespace) -> FaultCampaignConfig:
-    fields = dict(
-        topology=args.topology,
-        k=args.k,
-        concentration=args.concentration,
-        chiplets_x=args.chiplets_x,
-        chiplets_y=args.chiplets_y,
-        noi_scale=args.noi_scale,
-        injection_rate=args.rate,
-        pattern=args.pattern,
-        size_flits=args.size_flits,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain_limit=args.drain_limit,
-        bers=args.bers,
-        protocols=args.protocols,
-        datapath=args.datapath,
-        seed=args.seed,
-        engine=args.engine,
-        multicast_fraction=args.multicast_fraction,
-        multicast_degree=args.multicast_degree,
-        workload=args.workload,
-        trace_path=args.trace_path,
-        burst_on=args.burst_on,
-        burst_off=args.burst_off,
-        collective_fraction=args.collective_fraction,
-        collective=args.collective,
-        payload_mode=args.payload_mode,
-        coupling=not args.no_coupling,
-    )
+    fields = config_flag_values(args)
     if args.smoke:
-        # --smoke shrinks windows and the BER grid but keeps the
-        # requested topology, so CI can smoke any family member.
+        # --smoke shrinks windows and the BER grid and puts the traffic
+        # shape back at its defaults, but keeps the requested topology,
+        # so CI can smoke any family member.
+        for name in ("pattern", "size_flits", "drain_limit"):
+            fields.pop(name, None)
         fields.update(
-            k=3,
-            injection_rate=0.06,
-            pattern="uniform",
-            size_flits=2,
-            warmup=30,
-            measure=150,
-            drain_limit=20_000,
-            bers=(2e-3,),
+            k=3, injection_rate=0.06, warmup=30, measure=150, bers=(2e-3,)
         )
     return FaultCampaignConfig(**fields)
 

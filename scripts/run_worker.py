@@ -9,12 +9,16 @@ database file); each leases task rows in batches of about 50 ms of work
 lease-expiry protocol, executes them through the resilient executor,
 and commits their bitwise-deterministic payloads in one transaction.
 Killing a worker — even with SIGKILL — loses nothing: its leases expire
-and other workers pick the rows back up.  See docs/SERVICE.md.
+and other workers pick the rows back up.  SIGTERM is a graceful stop:
+the tasks already finished are committed, the rest of the batch is
+released at once, and the worker exits with status 143.  See
+docs/SERVICE.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.runtime import ResultCache
@@ -50,21 +54,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread so it takes run_worker's
+    KeyboardInterrupt path: finished tasks are committed, unfinished
+    leases released and the worker's counters recorded."""
+
+
+def _terminate(signum, frame) -> None:
+    # A second SIGTERM must not cut the cleanup short.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cache = ResultCache(args.cache) if args.cache else None
-    report = run_worker(
-        args.db,
-        worker_id=args.worker_id,
-        lease_seconds=args.lease_seconds,
-        poll_seconds=args.poll_seconds,
-        campaign=args.campaign,
-        max_tasks=args.max_tasks,
-        drain=args.drain,
-        max_attempts=args.max_attempts,
-        timeout=args.timeout,
-        cache=cache,
-    )
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        report = run_worker(
+            args.db,
+            worker_id=args.worker_id,
+            lease_seconds=args.lease_seconds,
+            poll_seconds=args.poll_seconds,
+            campaign=args.campaign,
+            max_tasks=args.max_tasks,
+            drain=args.drain,
+            max_attempts=args.max_attempts,
+            timeout=args.timeout,
+            cache=cache,
+        )
+    except Terminated:
+        print("worker terminated: finished tasks committed, leases released",
+              file=sys.stderr)
+        return 128 + signal.SIGTERM
     print(
         f"worker {report.worker_id}: {report.tasks_done} done, "
         f"{report.tasks_failed} failed, {report.lost_races} lost race(s), "

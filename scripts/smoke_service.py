@@ -13,9 +13,10 @@ uninterrupted single-process ``run_fault_campaign`` baseline built from
 the stored config.  Exits nonzero on any mismatch.
 
 * ``kill-worker`` (default): two workers drain a 16-task campaign and
-  one is SIGKILLed while it provably holds a lease (the other starts
-  once it does) — the hardest interrupt there is, no cleanup code runs.  The survivor waits out the
-  dead worker's lease expiry, re-leases its row, and finishes.
+  one is SIGKILLed while it provably holds a batch of two or more rows
+  (the other starts once it does) — the hardest interrupt there is, no
+  cleanup code runs.  The survivor waits out the dead worker's lease
+  expiry, re-leases its rows, and finishes.
 * ``topology``: a tiny non-mesh campaign (``--topology``, default
   torus) submitted with the ``--topology`` overlay flag; the stored
   config must keep the overlay (docs/TOPOLOGY.md).
@@ -108,19 +109,20 @@ def leased_by(db_path: Path, worker_id: str) -> int:
 
 
 def drain_killing_victim(db_path: Path, lease_seconds: float, deadline: float) -> None:
-    """Two workers; SIGKILL the victim once it provably holds a lease, so
-    the expiry-recovery path is genuinely exercised.  The survivor starts
-    only then: started together, it can drain the whole campaign before
-    the victim's first lease."""
+    """Two workers; SIGKILL the victim once it provably holds a batch of
+    at least two rows, so the expiry-recovery path is genuinely
+    exercised for a multi-row lease (the first lease is always one row).
+    The survivor starts only then: started together, it can drain the
+    whole campaign before the victim's first lease."""
     victim = spawn_worker(db_path, "victim", lease_seconds)
     survivor = None
     try:
-        while leased_by(db_path, "victim") == 0:
+        while leased_by(db_path, "victim") < 2:
             if victim.poll() is not None:
-                raise SmokeFailure("victim exited before holding a lease")
+                raise SmokeFailure("victim exited before holding a 2-row batch")
             if time.monotonic() > deadline:
-                raise SmokeFailure("victim never leased a task")
-            time.sleep(0.05)
+                raise SmokeFailure("victim never leased a 2-row batch")
+            time.sleep(0.005)
         survivor = spawn_worker(db_path, "survivor", lease_seconds)
         victim.send_signal(signal.SIGKILL)
         victim.wait()

@@ -26,8 +26,9 @@ processes without a serial fallback.
 
 from __future__ import annotations
 
+import argparse
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.errors import ConfigurationError, LivelockError, WorkloadConfigError
@@ -64,66 +65,77 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.seeds import derived_seed
 
 
+def _flag(default, help: str, choices=None):
+    """A config field with a command-line flag (:func:`add_config_flags`)."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass(frozen=True)
 class FaultCampaignConfig:
-    """Grid and simulation parameters of one fault campaign."""
+    """Grid and simulation parameters of one fault campaign.
 
-    #: Topology class ("mesh", "cmesh", "torus", "chiplet"); ``k`` is
-    #: the router-grid radix (the per-chiplet radix for "chiplet").
-    topology: str = "mesh"
-    k: int = 4
-    #: Cores per router for topology="cmesh" (1 elsewhere).
-    concentration: int = 1
-    #: Chiplet grid for topology="chiplet" (1x1 elsewhere).
-    chiplets_x: int = 1
-    chiplets_y: int = 1
-    #: NoI link length relative to 1 mm NoC links (chiplet only).
-    noi_scale: float = 2.0
-    injection_rate: float = 0.05
-    pattern: str = "uniform"
-    size_flits: int = 2
-    warmup: int = 100
-    measure: int = 400
-    drain_limit: int = 20_000
+    Every field but ``stall_window`` and ``flit_bits`` is a command-line
+    flag; its help text is the ``_flag`` string beside it.
+    """
+
+    topology: str = _flag("mesh", "topology family", sorted(TOPOLOGY_KINDS))
+    k: int = _flag(4, "router-grid radix (per chiplet for --topology chiplet)")
+    concentration: int = _flag(1, "cores per router (--topology cmesh)")
+    chiplets_x: int = _flag(1, "chiplet grid width (--topology chiplet)")
+    chiplets_y: int = _flag(1, "chiplet grid height (--topology chiplet)")
+    noi_scale: float = _flag(
+        2.0, "NoI link length relative to 1 mm NoC links (--topology chiplet)"
+    )
+    injection_rate: float = _flag(0.05, "injection rate, packets/node/cycle")
+    pattern: str = _flag("uniform", "traffic pattern")
+    size_flits: int = _flag(2, "flits per packet")
+    warmup: int = _flag(100, "cycles before the measurement window")
+    measure: int = _flag(400, "measurement window, cycles")
+    drain_limit: int = _flag(20_000, "cycles allowed to drain the network")
     stall_window: int = 500
-    bers: tuple[float, ...] = (1e-6, 1e-4, 1e-3, 1e-2)
-    protocols: tuple[str, ...] = PROTOCOLS
+    bers: tuple[float, ...] = _flag(
+        (1e-6, 1e-4, 1e-3, 1e-2), "raw per-bit error rates to sweep"
+    )
+    protocols: tuple[str, ...] = _flag(PROTOCOLS, "protection schemes", PROTOCOLS)
     flit_bits: int = 64
-    datapath: str = "srlr"
-    seed: int = 7
+    datapath: str = _flag("srlr", "datapath energy model", ("srlr", "full_swing"))
+    seed: int = _flag(7, "base seed")
     #: Cycle-loop implementation ("fast" or "reference"); both produce
     #: identical results — see tests/test_noc_fastsim_parity.py.  A
     #: multicast mix forces the reference engine (the fast engine is
     #: unicast-only) with an :class:`EngineFallbackWarning`.
-    engine: str = "fast"
+    engine: str = _flag("fast", "NoC cycle-loop engine", sorted(ENGINES))
     #: Share of injected packets that are multicast (single-flit, random
     #: destination set of ``multicast_degree``); 0 keeps pure unicast.
-    multicast_fraction: float = 0.0
-    multicast_degree: int = 4
+    multicast_fraction: float = _flag(0.0, "share of multicast packets")
+    multicast_degree: int = _flag(4, "destinations per multicast packet")
     #: Workload family (:data:`repro.workload.WORKLOADS`): the Bernoulli
     #: synthetics, Markov on/off bursts, multicast collectives, or a
     #: recorded trace replay.  Fields that do not apply to the selected
     #: workload must stay at their defaults — mixing refuses loudly with
     #: a :class:`~repro.errors.WorkloadConfigError`.
-    workload: str = "synthetic"
+    workload: str = _flag("synthetic", "workload family", sorted(WORKLOADS))
     #: Trace file (JSON or text format) for workload="trace".  Campaign
     #: identity hashes the trace's *content*, not this path.
-    trace_path: str | None = None
-    #: Markov chain rates for workload="bursty": P(off->on), P(on->off).
-    burst_on: float = 0.05
-    burst_off: float = 0.15
-    #: Collective mix for workload="collective": multicast share and
-    #: destination-set construction ("row", "col", "random").
-    collective_fraction: float = 0.25
-    collective: str = "row"
+    trace_path: str | None = _flag(None, "trace file to replay (--workload trace)")
+    burst_on: float = _flag(0.05, "Markov P(off->on) per cycle (--workload bursty)")
+    burst_off: float = _flag(0.15, "Markov P(on->off) per cycle (--workload bursty)")
+    collective_fraction: float = _flag(
+        0.25, "multicast share (--workload collective)"
+    )
+    collective: str = _flag(
+        "row", "destination set (--workload collective)", sorted(COLLECTIVES)
+    )
     #: What bits flits carry (:data:`repro.workload.PAYLOAD_MODES`):
     #: "constant" keeps the worst-case per-bit price, "random" /
     #: "worst_case" switch link pricing to counted bit transitions.
     #: Traces carry their own recorded bits.
-    payload_mode: str = "constant"
+    payload_mode: str = _flag(
+        "constant", "what bits flits carry", sorted(PAYLOAD_MODES)
+    )
     #: Include the coupled-line Miller surcharge in data-dependent
     #: pricing; only meaningful when payload bits are being counted.
-    coupling: bool = True
+    coupling: bool = _flag(True, "drop the crosstalk term from data-dependent pricing")
 
     def __post_init__(self) -> None:
         # JSON configs carry lists; the frozen config must stay hashable
@@ -196,33 +208,35 @@ class FaultCampaignConfig:
                 f"collective must be one of {COLLECTIVES}, "
                 f"got {self.collective!r}"
             )
-        if self.trace_path is not None and self.workload != "trace":
+        if self.workload != "trace" and self._off_default("trace_path"):
             raise WorkloadConfigError(
                 f"trace_path applies only to workload='trace' "
                 f"(got workload={self.workload!r})"
             )
-        if self.workload != "bursty" and (
-            self.burst_on != 0.05 or self.burst_off != 0.15
+        if self.workload != "bursty" and self._off_default(
+            "burst_on", "burst_off"
         ):
             raise WorkloadConfigError(
                 f"burst_on/burst_off=({self.burst_on}, {self.burst_off}) "
                 f"apply only to workload='bursty' "
                 f"(got workload={self.workload!r})"
             )
-        if self.workload != "collective" and (
-            self.collective_fraction != 0.25 or self.collective != "row"
+        if self.workload != "collective" and self._off_default(
+            "collective_fraction", "collective"
         ):
             raise WorkloadConfigError(
                 f"collective_fraction/collective=({self.collective_fraction}, "
                 f"{self.collective!r}) apply only to workload='collective' "
                 f"(got workload={self.workload!r})"
             )
-        if self.workload == "bursty" and self.multicast_fraction != 0.0:
+        if self.workload == "bursty" and self._off_default("multicast_fraction"):
             raise WorkloadConfigError(
                 f"workload='bursty' is unicast-only; "
                 f"multicast_fraction={self.multicast_fraction} does not apply"
             )
-        if self.workload == "collective" and self.multicast_fraction != 0.0:
+        if self.workload == "collective" and self._off_default(
+            "multicast_fraction"
+        ):
             raise WorkloadConfigError(
                 "workload='collective' mixes multicast via "
                 f"collective_fraction; multicast_fraction="
@@ -239,23 +253,15 @@ class FaultCampaignConfig:
         if self.workload == "trace":
             if self.trace_path is None:
                 raise WorkloadConfigError("workload='trace' needs a trace_path")
-            if self.payload_mode != "constant":
+            if self._off_default("payload_mode"):
                 raise WorkloadConfigError(
                     "trace replay carries its own recorded payload; "
                     f"payload_mode={self.payload_mode!r} does not apply"
                 )
-            knobs = (
-                ("injection_rate", self.injection_rate, 0.05),
-                ("pattern", self.pattern, "uniform"),
-                ("size_flits", self.size_flits, 2),
-                ("multicast_fraction", self.multicast_fraction, 0.0),
-                ("multicast_degree", self.multicast_degree, 4),
+            offending = self._off_default(
+                "injection_rate", "pattern", "size_flits",
+                "multicast_fraction", "multicast_degree",
             )
-            offending = [
-                f"{name}={value!r}"
-                for name, value, default in knobs
-                if value != default
-            ]
             if offending:
                 raise WorkloadConfigError(
                     "trace replay defines its own packet stream; generator "
@@ -268,6 +274,14 @@ class FaultCampaignConfig:
                     f"{topology_spec(trace.topology)} but the campaign "
                     f"asks for {topology_spec(topo)}"
                 )
+
+    def _off_default(self, *names: str) -> list[str]:
+        """``name=value`` of each named field that is off its default."""
+        defaults = {f.name: f.default for f in fields(self)}
+        return [
+            f"{n}={getattr(self, n)!r}" for n in names
+            if getattr(self, n) != defaults[n]
+        ]
 
     def build_topology(self) -> Topology:
         """The topology instance this campaign simulates over."""
@@ -345,6 +359,54 @@ class FaultCampaignConfig:
             for ber in self.bers
             for protocol in self.protocols
         ]
+
+
+#: Flags that keep their historical names instead of ``--<field>``.
+_FLAG_NAMES = {"injection_rate": "--rate", "coupling": "--no-coupling"}
+
+
+def config_flag(name: str) -> str:
+    """The command-line flag of :class:`FaultCampaignConfig` field ``name``."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
+def add_config_flags(parser, names=None) -> None:
+    """Add one flag per named :class:`FaultCampaignConfig` field (default:
+    every ``_flag`` field) to a parser or argument group.
+
+    The field's default sets the flag's type, and a tuple default takes
+    one or more values; help and choices come from the field metadata.
+    Each flag defaults to :data:`argparse.SUPPRESS`, so a flag left off
+    sets nothing and the dataclass default applies.
+    """
+    flagged = {f.name: f for f in fields(FaultCampaignConfig) if f.metadata}
+    for name in names or flagged:
+        f = flagged[name]
+        kwargs = {"default": argparse.SUPPRESS, "help": f.metadata["help"]}
+        if isinstance(f.default, bool):
+            # --no-coupling: given, it stores the field's value, False.
+            kwargs["action"] = "store_false"
+        else:
+            sample, shown = f.default, f.default
+            if isinstance(f.default, tuple):
+                kwargs["nargs"] = "+"
+                sample, shown = f.default[0], " ".join(map(str, f.default))
+            if type(sample) in (int, float):
+                kwargs["type"] = type(sample)
+            kwargs["choices"] = f.metadata["choices"]
+            kwargs["help"] += f" (default: {shown})"
+        parser.add_argument(config_flag(name), **kwargs)
+
+
+def config_flag_values(args: argparse.Namespace) -> dict:
+    """The fields whose :func:`add_config_flags` flags were given, in
+    declaration order."""
+    given = vars(args)
+    return {
+        f.name: given[dest]
+        for f in fields(FaultCampaignConfig)
+        if (dest := config_flag(f.name)[2:].replace("-", "_")) in given
+    }
 
 
 @dataclass(frozen=True)
@@ -739,6 +801,9 @@ __all__ = [
     "FaultCampaignConfig",
     "FaultCampaignResult",
     "FaultPointResult",
+    "add_config_flags",
+    "config_flag",
+    "config_flag_values",
     "format_fault_report",
     "point_from_payload",
     "point_key",

@@ -74,9 +74,16 @@ class LinkFaultState:
 class _ConstantBerState(LinkFaultState):
     def __init__(self, ber: float) -> None:
         self.ber = ber
+        # flit_error_probability(ber, flit_bits), computed once for the
+        # flit width in use rather than once per flit traversal.
+        self._flit_bits = None
+        self._p_flit = 0.0
 
     def flit_error_probability(self, cycle: int, flit_bits: int) -> float:
-        return flit_error_probability(self.ber, flit_bits)
+        if flit_bits != self._flit_bits:
+            self._p_flit = flit_error_probability(self.ber, flit_bits)
+            self._flit_bits = flit_bits
+        return self._p_flit
 
 
 class _EpisodeState(LinkFaultState):

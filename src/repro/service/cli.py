@@ -24,11 +24,10 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.noc.topology import TOPOLOGY_KINDS
+from repro.fault.campaign import add_config_flags, config_flag, config_flag_values
 from repro.runtime import ResultCache
 from repro.service.adapters import ADAPTERS, get_adapter
 from repro.service.db import CampaignDB
-from repro.workload import COLLECTIVES, PAYLOAD_MODES, WORKLOADS
 
 
 def _load_config(arg: str) -> dict:
@@ -41,27 +40,6 @@ def _load_config(arg: str) -> dict:
     return json.loads(Path(arg).read_text())
 
 
-#: submit-time topology overlay flags -> FaultCampaignConfig field names.
-_TOPOLOGY_FLAGS = {
-    "topology": "topology",
-    "concentration": "concentration",
-    "chiplets_x": "chiplets_x",
-    "chiplets_y": "chiplets_y",
-    "noi_scale": "noi_scale",
-}
-
-#: submit-time workload overlay flags -> FaultCampaignConfig field names.
-_WORKLOAD_FLAGS = {
-    "workload": "workload",
-    "trace_path": "trace_path",
-    "burst_on": "burst_on",
-    "burst_off": "burst_off",
-    "collective_fraction": "collective_fraction",
-    "collective": "collective",
-    "payload_mode": "payload_mode",
-}
-
-
 def _overlay_fault_flags(args: argparse.Namespace, config: dict) -> dict:
     """Fold topology/workload overlay flags into a fault campaign config.
 
@@ -69,26 +47,11 @@ def _overlay_fault_flags(args: argparse.Namespace, config: dict) -> dict:
     campaign kinds whose config is a ``FaultCampaignConfig``, so any
     other kind rejects them loudly rather than silently dropping them.
     """
-    flags = {**_TOPOLOGY_FLAGS, **_WORKLOAD_FLAGS}
-    overlay = {
-        field: getattr(args, flag)
-        for flag, field in flags.items()
-        if getattr(args, flag, None) is not None
-    }
-    if getattr(args, "no_coupling", False):
-        overlay["coupling"] = False
+    overlay = config_flag_values(args)
     if not overlay:
         return config
     if args.kind != "fault":
-        names = ", ".join(
-            "--" + flag.replace("_", "-")
-            for flag in (*flags, "no_coupling")
-            if (
-                getattr(args, flag, False)
-                if flag == "no_coupling"
-                else getattr(args, flag, None) is not None
-            )
-        )
+        names = ", ".join(config_flag(name) for name in overlay)
         raise ReproError(
             f"{names}: topology/workload flags apply only to --kind fault "
             f"campaigns, not {args.kind!r}"
@@ -204,41 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
         "topology overlays (fault campaigns only)",
         "override the config's topology fields without editing the JSON",
     )
-    topo.add_argument("--topology", default=None,
-                      choices=sorted(TOPOLOGY_KINDS),
-                      help="topology family for the fault campaign")
-    topo.add_argument("--concentration", type=int, default=None,
-                      metavar="C", help="cores per router (cmesh)")
-    topo.add_argument("--chiplets-x", type=int, default=None, metavar="N",
-                      help="chiplet grid width (chiplet)")
-    topo.add_argument("--chiplets-y", type=int, default=None, metavar="N",
-                      help="chiplet grid height (chiplet)")
-    topo.add_argument("--noi-scale", type=float, default=None, metavar="X",
-                      help="NoI link length multiplier (chiplet)")
+    add_config_flags(
+        topo, ("topology", "concentration", "chiplets_x", "chiplets_y",
+               "noi_scale"),
+    )
     work = p.add_argument_group(
         "workload overlays (fault campaigns only)",
         "override the config's workload fields without editing the JSON",
     )
-    work.add_argument("--workload", default=None,
-                      choices=sorted(WORKLOADS),
-                      help="workload family for the fault campaign")
-    work.add_argument("--trace-path", default=None, metavar="FILE",
-                      help="trace file to replay (workload=trace)")
-    work.add_argument("--burst-on", type=float, default=None, metavar="P",
-                      help="Markov P(off->on) per cycle (bursty)")
-    work.add_argument("--burst-off", type=float, default=None, metavar="P",
-                      help="Markov P(on->off) per cycle (bursty)")
-    work.add_argument("--collective-fraction", type=float, default=None,
-                      metavar="F", help="multicast share (collective)")
-    work.add_argument("--collective", default=None,
-                      choices=sorted(COLLECTIVES),
-                      help="collective destination set (collective)")
-    work.add_argument("--payload-mode", default=None,
-                      choices=sorted(PAYLOAD_MODES),
-                      help="what bits flits carry (data-dependent energy)")
-    work.add_argument("--no-coupling", action="store_true",
-                      help="drop the crosstalk coupling term from "
-                      "data-dependent link pricing")
+    add_config_flags(
+        work, ("workload", "trace_path", "burst_on", "burst_off",
+               "collective_fraction", "collective", "payload_mode",
+               "coupling"),
+    )
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("status", help="row counts and worker heartbeats")
