@@ -16,9 +16,10 @@ switching resistance of their devices under the current variation sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
-from repro.tech.mosfet import Mosfet
+from repro.tech.mosfet import on_resistance
 from repro.tech.technology import Technology
 from repro.tech.variation import VariationSample
 from repro.units import UM
@@ -70,14 +71,17 @@ def _strength_scale(sample: VariationSample, name: str) -> float:
     tech = sample.tech
     vth_n = sample.vth(f"{name}.buf_n", "n", _BUF_WN)
     vth_p = sample.vth(f"{name}.buf_p", "p", _BUF_WP)
-    r_now = _avg_r(tech, vth_n, vth_p)
-    r_nom = _avg_r(tech, tech.vth_n, tech.vth_p)
-    return r_now / r_nom
+    return _avg_r(tech, vth_n, vth_p) / _typical_avg_r(tech)
+
+
+@lru_cache(maxsize=8)
+def _typical_avg_r(tech: Technology) -> float:
+    return _avg_r(tech, tech.vth_n, tech.vth_p)
 
 
 def _avg_r(tech: Technology, vth_n: float, vth_p: float) -> float:
-    rn = Mosfet(tech, _BUF_WN, vth_n, "n").r_on()
-    rp = Mosfet(tech, _BUF_WP, vth_p, "p").r_on()
+    rn = on_resistance(tech, _BUF_WN, vth_n, "n")
+    rp = on_resistance(tech, _BUF_WP, vth_p, "p")
     return 0.5 * (rn + rp)
 
 

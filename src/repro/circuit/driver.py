@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.tech.mosfet import Mosfet
+from repro.tech.mosfet import on_resistance
 from repro.tech.variation import VariationSample
 from repro.units import UM
 
@@ -85,13 +85,11 @@ class NMOSDriver(OutputDriver):
         # Clamp to a small positive floor: a dead driver is reported as a
         # (correctly failing) tiny launch, not a model error.
         amplitude = max(amplitude, 0.01)
-        up = Mosfet(tech, self.width_up, vth_up, "n")
-        down = Mosfet(tech, self.width_down, vth_dn, "n")
         # Source-follower effective resistance: the device conducts with
         # gate at Vref while the source rises toward the clamp; its average
         # drive is well captured by r_on at Vgs = Vref.
-        r_up = up.r_on(min(vref, tech.vdd))
-        r_down = down.r_on(tech.vdd)
+        r_up = on_resistance(tech, self.width_up, vth_up, "n", min(vref, tech.vdd))
+        r_down = on_resistance(tech, self.width_down, vth_dn, "n", tech.vdd)
         return LaunchedDrive(amplitude=amplitude, r_up=r_up, r_down=r_down)
 
     def gate_capacitance(self, sample: VariationSample) -> float:
@@ -131,12 +129,10 @@ class InverterDriver(OutputDriver):
         tech = sample.tech
         vth_p = sample.vth(f"{name}.drv_p", "p", self.width_p)
         vth_n = sample.vth(f"{name}.drv_n", "n", self.width_n)
-        pull_up = Mosfet(tech, self.width_p, vth_p, "p")
-        pull_down = Mosfet(tech, self.width_n, vth_n, "n")
         return LaunchedDrive(
             amplitude=self.amplitude_fraction * tech.vdd,
-            r_up=pull_up.r_on(tech.vdd),
-            r_down=pull_down.r_on(tech.vdd),
+            r_up=on_resistance(tech, self.width_p, vth_p, "p", tech.vdd),
+            r_down=on_resistance(tech, self.width_n, vth_n, "n", tech.vdd),
         )
 
     def gate_capacitance(self, sample: VariationSample) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.tech.mosfet import Mosfet
+from repro.tech.mosfet import saturation_current
 from repro.tech.variation import VariationSample
 from repro.units import FF, UM
 
@@ -80,8 +80,7 @@ class CurrentStarvedInverter:
         else:
             width = self.width_p
             vth = sample.vth(f"{name}.inv_p", "p", width)
-        device = Mosfet(tech, width, vth, polarity)
-        return device.ids_sat(tech.vdd) / self.starve_factor
+        return saturation_current(tech, width, vth, polarity, tech.vdd) / self.starve_factor
 
     def intrinsic_rise(self, sample: VariationSample, name: str) -> float:
         """Output rise time once X has crossed V_M (PMOS charging c_out)."""

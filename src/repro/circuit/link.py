@@ -36,7 +36,7 @@ from repro.circuit.srlr import (
     SRLRStage,
     StageFailure,
 )
-from repro.tech.variation import VariationSample, nominal_sample
+from repro.tech.variation import VariationSample, nominal_sample, planned_build
 from repro.wire.attenuation import AttenuationTable, attenuation_table
 from repro.wire.rc import WireSegment
 
@@ -106,15 +106,12 @@ class SRLRLink:
                 f"launch_width must be positive, got {self.launch_width}"
             )
         d = self.design
-        self.stages = [
-            SRLRStage(d, i, self.sample, name_prefix=self.name_prefix)
-            for i in range(d.n_stages)
-        ]
-        self.segment = WireSegment(d.tech, d.geometry, d.segment_length)
-        # The PM uses the same driver design as the repeaters.
-        self._pm_launch = d.driver.launch(
-            self.sample, f"{self.name_prefix}pm", d.swing_reference.vref(self.sample)
+        # Which devices the build draws, and in which order, is fixed by
+        # the design, the technology and the name prefix.
+        planned_build(
+            self.sample, (d, self.sample.tech, self.name_prefix), self._build_stages
         )
+        self.segment = WireSegment(d.tech, d.geometry, d.segment_length)
         # M1's gate is the receiver load; a long-channel device's gate cap
         # scales with W * L.
         self._c_load = d.tech.gate_c_per_m * d.m1_width * d.m1_length_factor
@@ -122,6 +119,19 @@ class SRLRLink:
         self._internal_energy = [
             self._stage_internal_energy(stage) for stage in self.stages
         ]
+
+    def _build_stages(self) -> None:
+        """The repeaters and the PM launch: every mismatch draw of the link."""
+        d = self.design
+        first = SRLRStage(d, 0, self.sample, name_prefix=self.name_prefix)
+        self.stages = [first] + [
+            SRLRStage(d, i, self.sample, name_prefix=self.name_prefix, _vref=first.vref)
+            for i in range(1, d.n_stages)
+        ]
+        # The PM uses the same driver design as the repeaters.
+        self._pm_launch = d.driver.launch(
+            self.sample, f"{self.name_prefix}pm", first.vref
+        )
 
     # --- wire transfer plumbing ---------------------------------------------------
 

@@ -31,7 +31,7 @@ inverted, the stage fires continuously).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 from repro.errors import ConfigurationError
@@ -48,10 +48,10 @@ from repro.circuit.driver import (
     OutputDriver,
 )
 from repro.circuit.inv_amp import CurrentStarvedInverter
-from repro.tech.mosfet import Mosfet
+from repro.tech.mosfet import I0_PER_M, Mosfet, check_device, saturation_current
 from repro.tech.technology import Technology, tech_45nm_soi
 from repro.tech.variation import VariationSample
-from repro.units import FF, MM, PS, UM
+from repro.units import FF, MM, PS, UM, VT_THERMAL
 from repro.wire.rc import WireGeometry
 
 
@@ -310,6 +310,10 @@ class SRLRStage:
     #: gives each bit lane its own prefix so lanes share the die's global
     #: corner but draw independent local mismatch.
     name_prefix: str = ""
+    #: The die's driver reference, when the caller already has it: Vref
+    #: is one value per die, so a link resolves it at its first stage
+    #: and hands it to the others.
+    _vref: InitVar[float | None] = None
 
     # Resolved per-die constants (populated in __post_init__).
     v_standby: float = field(init=False)
@@ -318,11 +322,11 @@ class SRLRStage:
     wx: float = field(init=False)
     t_intrinsic_rise: float = field(init=False)
     t_fall: float = field(init=False)
+    vref: float = field(init=False)
     launch: LaunchedDrive = field(init=False)
     keeper_current: float = field(init=False)
-    _m1: Mosfet = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _vref: float | None) -> None:
         if self.stage_index < 0:
             raise ConfigurationError(
                 f"stage_index must be >= 0, got {self.stage_index}"
@@ -334,13 +338,13 @@ class SRLRStage:
         # Mismatch scales with gate *area*: pass the area-equivalent width
         # (W * L/Lmin) to the variation sample; drive strength scales with
         # W/L, so the electrical device gets width / length_factor.
-        vth_m1 = (
+        vth_m1 = max(
             self.sample.vth(f"{name}.m1", "n", d.m1_width * d.m1_length_factor)
-            + d.m1_vth_offset
+            + d.m1_vth_offset,
+            0.02,
         )
-        self._m1 = Mosfet(
-            tech, d.m1_width / d.m1_length_factor, max(vth_m1, 0.02), "n"
-        )
+        m1_width = d.m1_width / d.m1_length_factor
+        check_device(m1_width, vth_m1, "n")
 
         vth_m2 = (
             self.sample.vth(f"{name}.m2", "n", d.m2_width * d.m2_length_factor)
@@ -352,30 +356,36 @@ class SRLRStage:
         # The keeper opposes M1's discharge with the current of a minute
         # long-channel device whose gate sits at Vdd and source at X ~ V_M
         # during the descent: overdrive = Vdd - V_M - Vth(M2).
-        keeper = Mosfet(
-            tech, d.m2_width / d.m2_length_factor, max(vth_m2, 0.02), "n"
+        keeper_width = d.m2_width / d.m2_length_factor
+        keeper_vth = max(vth_m2, 0.02)
+        self.keeper_current = saturation_current(
+            tech, keeper_width, keeper_vth, "n", tech.vdd - self.v_threshold
         )
-        self.keeper_current = keeper.ids_sat(tech.vdd - self.v_threshold)
 
         # Scalar fast path for the Monte Carlo inner loop: M1's current at
         # (vgs=swing, vds=v_threshold) inlined as plain floats, equivalent
         # to self._m1.ids(swing, self.v_threshold).
-        m1 = self._m1
-        self._fp_vth = m1.vth
-        self._fp_i0 = m1.I0_PER_M * m1.width
-        self._fp_k = tech.k_drive * m1.width
+        self._fp_vth = vth_m1
+        self._fp_i0 = I0_PER_M * m1_width
+        self._fp_k = tech.k_drive * m1_width
         self._fp_alpha = tech.alpha
-        self._fp_nvt = tech.subthreshold_slope_n * 0.02585
+        self._fp_nvt = tech.subthreshold_slope_n * VT_THERMAL
         self._fp_vds = self.v_threshold
-        self._fp_vdsat_floor = 0.12 * m1.vth
+        self._fp_vdsat_floor = 0.12 * vth_m1
 
         cell = d.delay_plan.cell_for_stage(self.stage_index)
         self.wx = cell.delay(self.sample, name)
         self.t_intrinsic_rise = d.inv.intrinsic_rise(self.sample, name)
         self.t_fall = d.inv.fall_time(self.sample, name)
 
-        vref = d.swing_reference.vref(self.sample)
-        self.launch = d.driver.launch(self.sample, name, vref)
+        self.vref = d.swing_reference.vref(self.sample) if _vref is None else _vref
+        self.launch = d.driver.launch(self.sample, name, self.vref)
+
+    @property
+    def _m1(self) -> Mosfet:
+        """The input device M1 (construction keeps only its floats)."""
+        d = self.design
+        return Mosfet(d.tech, d.m1_width / d.m1_length_factor, self._fp_vth, "n")
 
     @property
     def is_stuck(self) -> bool:

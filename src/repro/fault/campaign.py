@@ -161,6 +161,11 @@ class FaultCampaignConfig:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
+        datapaths = self._choices("datapath")
+        if self.datapath not in datapaths:
+            raise ConfigurationError(
+                f"datapath must be one of {datapaths}, got {self.datapath!r}"
+            )
         if not 0.0 < self.injection_rate <= 1.0:
             raise ConfigurationError(
                 f"injection_rate must lie in (0, 1], got {self.injection_rate}"
@@ -274,6 +279,10 @@ class FaultCampaignConfig:
                     f"{topology_spec(trace.topology)} but the campaign "
                     f"asks for {topology_spec(topo)}"
                 )
+
+    def _choices(self, name: str) -> tuple:
+        """The choices declared on field ``name``'s flag."""
+        return next(f for f in fields(self) if f.name == name).metadata["choices"]
 
     def _off_default(self, *names: str) -> list[str]:
         """``name=value`` of each named field that is off its default."""

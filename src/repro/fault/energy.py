@@ -178,10 +178,17 @@ def price_fault_run(
         ]
     link_mm = model.config.link_length / MM
     useful_bit_mm = 0.0
+    # route_mm = hops on uniform-length topologies (bitwise the old
+    # hop_distance accounting); per-link scaled on chiplet NoC/NoI.  A
+    # chiplet route is a walk, so each distinct pair is resolved once.
+    routes: dict[tuple, float] = {}
     for src, dest in useful_deliveries:
-        # route_mm = hops on uniform-length topologies (bitwise the old
-        # hop_distance accounting); per-link scaled on chiplet NoC/NoI.
-        hops = topology.route_mm(src, dest) if src is not None else 1
+        if src is None:
+            hops = 1
+        else:
+            hops = routes.get((src, dest))
+            if hops is None:
+                hops = routes[src, dest] = topology.route_mm(src, dest)
         useful_bit_mm += size_flits * flit_bits * hops * link_mm
     return FaultEnergyReport(
         base=base,

@@ -23,6 +23,63 @@ from repro.tech.technology import Technology
 from repro.units import UM, VT_THERMAL
 
 
+#: PMOS mobility derating relative to NMOS at equal width.
+PMOS_DRIVE_RATIO = 0.45
+
+#: Subthreshold current at Vgs = Vth, per meter of width.
+I0_PER_M = 0.35  # A/m -> ~0.35 uA/um, a typical 45 nm-class value
+
+
+def check_device(width: float, vth: float, polarity: str) -> None:
+    """Raise :class:`ConfigurationError` unless the device is drawable."""
+    if width <= 0.0:
+        raise ConfigurationError(f"width must be positive, got {width}")
+    if polarity not in ("n", "p"):
+        raise ConfigurationError(f"polarity must be 'n' or 'p', got {polarity!r}")
+    if vth <= 0.0:
+        raise ConfigurationError(f"vth magnitude must be positive, got {vth}")
+
+
+def saturation_current(
+    tech: Technology, width: float, vth: float, polarity: str, vgs: float
+) -> float:
+    """:meth:`Mosfet.ids_sat` on plain floats, after :func:`check_device`.
+
+    Below threshold the current rolls off exponentially with the
+    technology's subthreshold slope; above threshold it follows the
+    alpha-power law.  The two regions are continuous at Vgs = Vth.
+    """
+    check_device(width, vth, polarity)
+    if vgs <= 0.0:
+        return 0.0
+    n_vt = tech.subthreshold_slope_n * VT_THERMAL
+    i0 = I0_PER_M * width * (PMOS_DRIVE_RATIO if polarity == "p" else 1.0)
+    overdrive = vgs - vth
+    if overdrive <= 0.0:
+        return i0 * math.exp(overdrive / n_vt)
+    k_eff = tech.k_drive * width
+    if polarity == "p":
+        k_eff *= PMOS_DRIVE_RATIO
+    # Smooth hand-off: subthreshold floor plus the alpha-power term.
+    return i0 + k_eff * overdrive**tech.alpha
+
+
+def on_resistance(
+    tech: Technology, width: float, vth: float, polarity: str, vgs: float | None = None
+) -> float:
+    """:meth:`Mosfet.r_on` on plain floats, after :func:`check_device`.
+
+    Uses the standard effective-resistance abstraction
+    R_eff ~ Vdd / Ids_sat(Vgs=Vdd) scaled by 3/4 to average the
+    discharge trajectory.  Returns ``inf`` when the device is off.
+    """
+    vgs = tech.vdd if vgs is None else vgs
+    isat = saturation_current(tech, width, vth, polarity, vgs)
+    if isat <= 0.0:
+        return math.inf
+    return 0.75 * tech.vdd / isat
+
+
 @dataclass(frozen=True)
 class Mosfet:
     """A single MOSFET instance of one polarity.
@@ -48,45 +105,17 @@ class Mosfet:
     vth: float
     polarity: str = "n"
 
-    #: PMOS mobility derating relative to NMOS at equal width.
-    PMOS_DRIVE_RATIO = 0.45
-
-    #: Subthreshold current at Vgs = Vth, per meter of width.
-    I0_PER_M = 0.35  # A/m -> ~0.35 uA/um, a typical 45 nm-class value
+    #: The module constants, also readable off a device.
+    PMOS_DRIVE_RATIO = PMOS_DRIVE_RATIO
+    I0_PER_M = I0_PER_M
 
     def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise ConfigurationError(f"width must be positive, got {self.width}")
-        if self.polarity not in ("n", "p"):
-            raise ConfigurationError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
-        if self.vth <= 0.0:
-            raise ConfigurationError(f"vth magnitude must be positive, got {self.vth}")
-
-    @property
-    def _k_eff(self) -> float:
-        k = self.tech.k_drive * self.width
-        if self.polarity == "p":
-            k *= self.PMOS_DRIVE_RATIO
-        return k
+        check_device(self.width, self.vth, self.polarity)
 
     def ids_sat(self, vgs: float) -> float:
-        """Saturation drain current magnitude at gate overdrive ``vgs - vth``.
-
-        Below threshold the current rolls off exponentially with the
-        technology's subthreshold slope; above threshold it follows the
-        alpha-power law.  The two regions are continuous at Vgs = Vth.
-        """
-        if vgs <= 0.0:
-            return 0.0
-        n_vt = self.tech.subthreshold_slope_n * VT_THERMAL
-        i0 = self.I0_PER_M * self.width * (
-            self.PMOS_DRIVE_RATIO if self.polarity == "p" else 1.0
-        )
-        overdrive = vgs - self.vth
-        if overdrive <= 0.0:
-            return i0 * math.exp(overdrive / n_vt)
-        # Smooth hand-off: subthreshold floor plus the alpha-power term.
-        return i0 + self._k_eff * overdrive**self.tech.alpha
+        """Saturation drain current magnitude at gate overdrive ``vgs - vth``
+        (see :func:`saturation_current`)."""
+        return saturation_current(self.tech, self.width, self.vth, self.polarity, vgs)
 
     def vdsat(self, vgs: float) -> float:
         """Saturation drain voltage, ~proportional to overdrive."""
@@ -105,17 +134,9 @@ class Mosfet:
         return isat * x * (2.0 - x)
 
     def r_on(self, vgs: float | None = None) -> float:
-        """Effective on-resistance for RC delay estimates.
-
-        Uses the standard effective-resistance abstraction
-        R_eff ~ Vdd / Ids_sat(Vgs=Vdd) scaled by 3/4 to average the
-        discharge trajectory.  Returns ``inf`` when the device is off.
-        """
-        vgs = self.tech.vdd if vgs is None else vgs
-        isat = self.ids_sat(vgs)
-        if isat <= 0.0:
-            return math.inf
-        return 0.75 * self.tech.vdd / isat
+        """Effective on-resistance for RC delay estimates
+        (see :func:`on_resistance`)."""
+        return on_resistance(self.tech, self.width, self.vth, self.polarity, vgs)
 
     @property
     def gate_cap(self) -> float:

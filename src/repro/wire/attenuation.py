@@ -14,6 +14,7 @@ loops don't rebuild eigendecompositions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -226,11 +227,38 @@ def log_quantize(value: float, per_decade: int = 16) -> float:
     Used to key transfer-table caches by driver resistance: Monte Carlo
     produces a continuum of resistances, but a 16-per-decade grid (+-7%
     rounding) keeps the cache small with negligible modeling error.
+
+    The grid index is found in plain floats.  ``math.log10`` and
+    ``np.log10`` may differ in the last bit, which can only change the
+    index next to a half-step; there (and for non-finite input) the
+    index comes from the numpy expression itself.  The grid value is
+    computed once per index by the numpy expression, so the result is
+    bitwise :func:`_numpy_log_quantize`.
     """
     if value <= 0.0:
         raise ConfigurationError(f"value must be positive, got {value}")
+    step = math.log10(value) * per_decade
+    if not math.isfinite(step) or abs(step - math.floor(step) - 0.5) < _HALF_STEP_GUARD:
+        return _numpy_log_quantize(value, per_decade)
+    return _grid_value(round(step), per_decade)
+
+
+#: Distance from a half-step (in grid steps) below which
+#: :func:`log_quantize` takes the numpy path: far above the last-bit
+#: differences between log10 implementations.
+_HALF_STEP_GUARD = 1e-9
+
+
+def _numpy_log_quantize(value: float, per_decade: int) -> float:
+    """The reference quantizer: the grid point of ``np.round(step)``."""
     step = np.log10(value) * per_decade
     return float(10.0 ** (np.round(step) / per_decade))
+
+
+@lru_cache(maxsize=1024)
+def _grid_value(index: int, per_decade: int) -> float:
+    """Grid point ``index`` as the reference quantizer computes it."""
+    return float(10.0 ** (np.float64(index) / per_decade))
 
 
 @lru_cache(maxsize=256)

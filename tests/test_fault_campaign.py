@@ -6,11 +6,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import warnings
 from dataclasses import asdict
 
 import pytest
 
+from repro.energy.router import RouterPowerModel
 from repro.errors import ConfigurationError
 from repro.fault import (
     EngineFallbackWarning,
@@ -19,6 +21,12 @@ from repro.fault import (
     protection_crossover,
     run_fault_campaign,
 )
+from repro.fault.energy import price_fault_run
+from repro.fault.injector import FaultStats
+from repro.fault.protection import ProtectionConfig
+from repro.noc.stats import NocStats
+from repro.noc.topology import build_topology
+from repro.units import MM
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +141,23 @@ class TestPlumbing:
             FaultCampaignConfig(protocols=("parity",))
         with pytest.raises(ConfigurationError):
             FaultCampaignConfig(injection_rate=0.0)
+
+    def test_unknown_datapath_is_refused_at_the_config(self, monkeypatch):
+        # Before the fix the config was accepted and the error only came
+        # from the energy model when the first point was priced.
+        import repro.fault.campaign as campaign_module
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(campaign_module, "_evaluate_point", no_point)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"datapath must be one of \('srlr', 'full_swing'\), got 'bogus'",
+        ):
+            run_fault_campaign(FaultCampaignConfig(datapath="bogus"), n_jobs=1)
+        for datapath in ("srlr", "full_swing"):
+            assert FaultCampaignConfig(datapath=datapath).datapath == datapath
 
     def test_list_valued_config_equals_tuple_valued(self):
         """JSON configs carry lists; they name the same campaign."""
@@ -271,3 +296,44 @@ def test_campaign_golden_digest(name):
         warnings.simplefilter("ignore", EngineFallbackWarning)
         result = run_fault_campaign(FaultCampaignConfig(**fields))
     assert campaign_digest(result) == expected
+
+
+def test_useful_bit_mm_resolves_each_route_once_and_sums_as_the_walk():
+    topology = build_topology("chiplet", 2, chiplets_x=2, chiplets_y=2, noi_scale=2.5)
+    endpoints = topology.endpoints()
+    rng = random.Random(3)
+    deliveries = [
+        (rng.choice(endpoints), rng.choice(endpoints)) for _ in range(400)
+    ]
+    deliveries[7] = (None, endpoints[0])
+    model = RouterPowerModel()
+    link_mm = model.config.link_length / MM
+    size_flits = 3
+    # The per-delivery walk, summed in delivery order.
+    expected = 0.0
+    for src, dest in deliveries:
+        hops = topology.route_mm(src, dest) if src is not None else 1
+        expected += size_flits * model.config.flit_bits * hops * link_mm
+
+    walked = []
+    route_mm = type(topology).route_mm
+
+    def counting(self, src, dest):
+        walked.append((src, dest))
+        return route_mm(self, src, dest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(topology), "route_mm", counting)
+        report = price_fault_run(
+            NocStats(),
+            FaultStats(),
+            topology,
+            ProtectionConfig(),
+            size_flits=size_flits,
+            model=model,
+            useful_deliveries=deliveries,
+        )
+    assert report.useful_bit_mm == expected
+    assert report.clean_deliveries == len(deliveries)
+    pairs = {pair for pair in deliveries if pair[0] is not None}
+    assert sorted(walked) == sorted(pairs)

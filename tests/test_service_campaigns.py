@@ -179,6 +179,15 @@ def test_invalid_configs_fail_at_submit_time(kind, bad):
         get_adapter(kind).canonical_config(bad)
 
 
+def test_fault_datapath_is_checked_at_submit_time():
+    adapter = get_adapter("fault")
+    with pytest.raises(ConfigurationError, match="datapath must be one of"):
+        adapter.canonical_config({"datapath": "bogus"})
+    assert adapter.canonical_config({"datapath": "full_swing"})["datapath"] == (
+        "full_swing"
+    )
+
+
 def test_unknown_kind_raises():
     with pytest.raises(ServiceError, match="unknown campaign kind"):
         get_adapter("nope")

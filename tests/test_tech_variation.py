@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.tech import variation
 from repro.tech import (
     GlobalCorner,
+    VariationSample,
     corner_sample,
     fixed_corners,
     monte_carlo_sample,
@@ -19,6 +21,7 @@ from repro.tech import (
     tech_45nm_soi,
     typical,
 )
+from repro.tech.variation import planned_build
 from repro.units import UM
 
 TECH = tech_45nm_soi()
@@ -118,3 +121,105 @@ def test_invalid_polarity_rejected():
 def test_local_shift_zero_when_disabled(seed):
     sample = monte_carlo_sample(TECH, seed=seed, local_enabled=False)
     assert sample.local_shift("any", 1 * UM) == 0.0
+
+
+# --- draw plans (planned_build) ---------------------------------------------------
+
+DEVICES = [("a.m1", 1.0 * UM), ("a.m2", 0.3 * UM), ("b.m1", 2.0 * UM), ("b.m2", 4.0 * UM)]
+
+
+def _asking(devices, fail_at=None):
+    """A build that asks a sample for ``devices`` in order."""
+
+    def build(sample):
+        shifts = []
+        for i, (name, width) in enumerate(devices):
+            if i == fail_at:
+                raise ConfigurationError("build failed")
+            shifts.append(sample.local_shift(name, width))
+        return shifts
+
+    return build
+
+
+def _state(sample):
+    return list(sample._local_cache.items()), sample.rng.bit_generator.state
+
+
+def _planned(key, build, seed):
+    sample = monte_carlo_sample(TECH, seed)
+    return planned_build(sample, key, lambda: build(sample)), _state(sample)
+
+
+def _scalar(build, seed):
+    sample = monte_carlo_sample(TECH, seed)
+    return build(sample), _state(sample)
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    monkeypatch.setattr(variation, "_PLANS", {})
+    return variation._PLANS
+
+
+def test_planned_draws_equal_scalar_draws(fresh_plans):
+    build = _asking(DEVICES)
+    for seed in range(5):
+        assert _planned("k", build, seed) == _scalar(build, seed)
+    names, sigmas = fresh_plans["k"]
+    assert names == tuple(name for name, _ in DEVICES)
+    assert sigmas.tolist() == [sigma_vth_local(TECH, w) for _, w in DEVICES]
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        DEVICES[::-1],  # another order
+        DEVICES[:2] + [("c.m1", 1.0 * UM)] + DEVICES[2:],  # one outside the plan
+        DEVICES[:-1],  # a planned device never asked for
+    ],
+    ids=["reordered", "extra", "missing"],
+)
+def test_a_build_off_its_plan_falls_back_to_scalar_draws(fresh_plans, later):
+    _planned("k", _asking(DEVICES), 0)
+    for seed in range(1, 4):
+        assert _planned("k", _asking(later), seed) == _scalar(_asking(later), seed)
+
+
+def test_a_failing_planned_build_leaves_the_scalar_state(fresh_plans):
+    _planned("k", _asking(DEVICES), 0)
+    for seed in range(1, 4):
+        failing = _asking(DEVICES, fail_at=2)
+        planned = monte_carlo_sample(TECH, seed)
+        with pytest.raises(ConfigurationError, match="build failed"):
+            planned_build(planned, "k", lambda: failing(planned))
+        scalar = monte_carlo_sample(TECH, seed)
+        with pytest.raises(ConfigurationError, match="build failed"):
+            failing(scalar)
+        assert _state(planned) == _state(scalar)
+
+
+def test_used_and_mismatch_free_samples_draw_scalar(fresh_plans):
+    build = _asking(DEVICES)
+    _planned("k", build, 0)
+    used = monte_carlo_sample(TECH, 3)
+    used.local_shift("probe", 1.0 * UM)
+    reference = monte_carlo_sample(TECH, 3)
+    reference.local_shift("probe", 1.0 * UM)
+    assert planned_build(used, "k", lambda: build(used)) == build(reference)
+    assert _state(used) == _state(reference)
+    for sample in (nominal_sample(TECH), corner_sample(TECH, typical())):
+        assert planned_build(sample, "k", lambda: build(sample)) == [0.0] * 4
+        assert sample.rng is None and not sample._local_cache
+
+
+def test_plan_memo_is_bounded(fresh_plans):
+    for i in range(3 * variation._MAX_PLANS):
+        _planned(("k", i), _asking(DEVICES), i)
+    assert len(fresh_plans) == variation._MAX_PLANS
+    assert ("k", 3 * variation._MAX_PLANS - 1) in fresh_plans
+
+
+def test_a_sample_with_local_mismatch_needs_an_rng():
+    with pytest.raises(ConfigurationError, match="needs an rng"):
+        VariationSample(TECH, typical(), None)

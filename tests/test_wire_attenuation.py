@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,3 +135,50 @@ def test_log_quantize_bounded_error(value):
 def test_table_peak_monotonicity_property(table, w1, w2):
     lo, hi = sorted((w1, w2))
     assert table.peak_ratio(lo) <= table.peak_ratio(hi) + 1e-9
+
+
+def _reference_log_quantize(value, per_decade=16):
+    # The quantizer as first written, in numpy scalars.
+    step = np.log10(value) * per_decade
+    return float(10.0 ** (np.round(step) / per_decade))
+
+
+@pytest.mark.parametrize("per_decade", [16, 7, 32])
+def test_log_quantize_equals_numpy_reference_on_log_uniform_values(per_decade):
+    rng = np.random.default_rng(25)
+    n = 100_000 if per_decade == 16 else 20_000
+    values = 10.0 ** rng.uniform(-15.0, 15.0, n)
+    got = [log_quantize(v, per_decade) for v in values.tolist()]
+    want = [_reference_log_quantize(v, per_decade) for v in values.tolist()]
+    assert got == want
+
+
+@pytest.mark.parametrize("per_decade", [16, 7])
+def test_log_quantize_equals_numpy_reference_at_half_steps(per_decade):
+    # Values on (and a few ulps either side of) every half-step between
+    # 1e-6 and 1e9: where round-half-even and last-bit log10 differences
+    # decide the grid index.
+    checked = 0
+    for k in range(-6 * per_decade, 9 * per_decade):
+        centre = 10.0 ** ((k + 0.5) / per_decade)
+        for value in (centre, float(np.float64(10.0) ** ((k + 0.5) / per_decade))):
+            for ulps in range(-3, 4):
+                v = value
+                for _ in range(abs(ulps)):
+                    v = math.nextafter(v, math.inf if ulps > 0 else 0.0)
+                assert log_quantize(v, per_decade) == _reference_log_quantize(
+                    v, per_decade
+                ), v
+                checked += 1
+    assert checked == 15 * per_decade * 14
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -math.inf])
+def test_log_quantize_refuses_non_positive_values(value):
+    with pytest.raises(ConfigurationError):
+        log_quantize(value)
+
+
+def test_log_quantize_passes_non_finite_values_through_numpy():
+    assert log_quantize(math.inf) == math.inf
+    assert math.isnan(log_quantize(math.nan))
