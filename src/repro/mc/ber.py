@@ -14,7 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.circuit.link import SRLRLink
@@ -35,6 +34,8 @@ def ber_upper_bound(errors: int, transmitted: int, confidence: float = 0.95) -> 
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     if errors == transmitted:
         return 1.0
+    from scipy import stats
+
     return float(stats.beta.ppf(confidence, errors + 1, transmitted - errors))
 
 
@@ -65,6 +66,10 @@ def ber_upper_bound_many(
         raise ConfigurationError("transmitted must be positive")
     if np.any(errors < 0) or np.any(errors > transmitted):
         raise ConfigurationError("errors must lie in [0, transmitted]")
+    # Imported here, not at module level: scipy.stats costs ~1 s and
+    # ~70 MB per process, and most campaigns never bound a BER.
+    from scipy import stats
+
     saturated = errors == transmitted
     # Neutral arguments where saturated keep beta.ppf finite; the result
     # there is overwritten with the exact value 1.0.

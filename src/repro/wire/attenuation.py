@@ -10,6 +10,13 @@ it builds the exact pi-ladder transient solver once, then answers peak
 swing / arrival time / output width queries for arbitrary input pulses by
 sampling the closed-form mode sum.  Instances are cached so Monte Carlo
 loops don't rebuild eigendecompositions.
+
+:class:`AttenuationTable` samples that solver on a grid of widths, once
+per (wire, quantized driver) pair: one two-node response (drive node and
+far node) per width, with ``exp`` skipped where it underflows
+(:meth:`TransientSolver.decay_grid`).  Its ``rows`` are bitwise those of
+two full-network responses per width; the tests keep that construction
+as the oracle (docs/MODEL.md, section 1).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.tech.technology import Technology
 from repro.wire.ladder import DEFAULT_SECTIONS, build_ladder
 from repro.wire.rc import WireGeometry, WireSegment
-from repro.wire.transient import TransientSolver
+from repro.wire.transient import TransientSolver, check_pulse_width
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class PulseTransfer:
         self.c_load = c_load
         network = build_ladder(segment, r_drive, c_load, n_sections)
         self.solver = TransientSolver(network)
-        self._far = network.far_node
+        self.far_node = network.far_node
 
     def _time_grid(self, width: float) -> np.ndarray:
         tau = self.solver.slowest_time_constant
@@ -72,15 +79,21 @@ class PulseTransfer:
         n = int(np.ceil(span / dt)) + 1
         return np.linspace(0.0, span, min(n, 6000))
 
+    def waveforms(
+        self, width: float, amplitude: float, nodes: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(times, voltages of ``nodes``) response to a rectangular input
+        pulse; the voltages have one column per node."""
+        check_pulse_width(width)
+        times = self._time_grid(width)
+        return times, self.solver.pulse_response(times, width, amplitude, nodes)
+
     def far_end_waveform(
         self, width: float, amplitude: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """(times, far-node voltage) response to a rectangular input pulse."""
-        if width <= 0.0:
-            raise ConfigurationError(f"pulse width must be positive, got {width}")
-        times = self._time_grid(width)
-        v = self.solver.pulse_response(times, width, amplitude)[:, self._far]
-        return times, v
+        times, v = self.waveforms(width, amplitude, [self.far_node])
+        return times, v[:, 0]
 
     def received(self, width: float, amplitude: float) -> ReceivedPulse:
         """Peak / arrival / half-max width of the far-end pulse."""
@@ -102,7 +115,7 @@ class PulseTransfer:
         """50% step-response delay at the far end (classic wire delay)."""
         tau = self.solver.slowest_time_constant
         times = np.linspace(0.0, 10.0 * tau, 3000)
-        v = self.solver.step_response(times, amplitude)[:, self._far]
+        v = self.solver.step_response(times, amplitude, [self.far_node])[:, 0]
         target = 0.5 * amplitude
         idx = np.searchsorted(v, target)
         if idx >= len(times):
@@ -144,8 +157,12 @@ class AttenuationTable:
         wouts = np.empty(self.N_GRID)
         tpeaks = np.empty(self.N_GRID)
         charges = np.empty(self.N_GRID)
+        # One response per width, at the two nodes read: the drive node
+        # (supply charge) and the far node (the received pulse).
+        nodes = [0, transfer.far_node]
         for i, w in enumerate(self._widths):
-            times, v_far = transfer.far_end_waveform(float(w), 1.0)
+            times, v = transfer.waveforms(float(w), 1.0, nodes)
+            v_near, v_far = v[:, 0], v[:, 1]
             i_peak = int(np.argmax(v_far))
             peaks[i] = v_far[i_peak]
             tpeaks[i] = times[i_peak]
@@ -156,9 +173,8 @@ class AttenuationTable:
                 wouts[i] = 0.0
             # Supply charge: integral of driver current during the high
             # phase, i(t) = (1 - v_node0(t)) / r_up for unit amplitude.
-            v0 = transfer.solver.pulse_response(times, float(w), 1.0)[:, 0]
             high = times <= w
-            i_drv = (1.0 - v0[high]) / transfer.r_drive
+            i_drv = (1.0 - v_near[high]) / transfer.r_drive
             charges[i] = float(np.trapezoid(i_drv, times[high]))
         self._peaks = peaks
         self._wouts = wouts

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.wire.ladder import DEFAULT_SECTIONS
 from repro.wire.rc import WireSegment
+from repro.wire.transient import TransientSolver, check_pulse_width
 
 
 class CoupledSolver:
@@ -37,6 +37,10 @@ class CoupledSolver:
     """
 
     def __init__(self, c: np.ndarray, g: np.ndarray, b: np.ndarray) -> None:
+        # Imported here: scipy.linalg costs ~0.3 s per process, and only
+        # crosstalk studies build coupled solvers.
+        from scipy.linalg import eigh
+
         c = np.asarray(c, float)
         g = np.asarray(g, float)
         b = np.asarray(b, float)
@@ -68,7 +72,7 @@ class CoupledSolver:
         times = np.asarray(times, float)
         v_ss = self.steady_state(u)
         modal0 = self._q.T @ (self._ct @ (v0 - v_ss))
-        decay = np.exp(-np.outer(times, self._lam))
+        decay = TransientSolver.decay_grid(times, -self._lam)
         return v_ss[None, :] + (decay * modal0[None, :]) @ self._q.T
 
 
@@ -146,8 +150,7 @@ class CoupledPair:
         self, width: float, v_amp: float, a_amp: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both lines driven with rectangular pulses of ``width``."""
-        if width <= 0.0:
-            raise ConfigurationError(f"width must be positive, got {width}")
+        check_pulse_width(width)
         times = self._times(width)
         v0 = np.zeros(self.solver.n_nodes)
         high = self.solver.evolve(v0, np.array([v_amp, a_amp]), times)

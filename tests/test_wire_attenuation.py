@@ -15,7 +15,9 @@ from repro.units import FF, MM, PS
 from repro.wire import (
     AttenuationTable,
     PulseTransfer,
+    TransientSolver,
     attenuation_table,
+    build_ladder,
     log_quantize,
     pulse_transfer,
     reference_segment,
@@ -182,3 +184,177 @@ def test_log_quantize_refuses_non_positive_values(value):
 def test_log_quantize_passes_non_finite_values_through_numpy():
     assert log_quantize(math.inf) == math.inf
     assert math.isnan(log_quantize(math.nan))
+
+
+# --- bitwise oracle: tables as first built ------------------------------------
+#
+# A table computes one response per width, at the two nodes it reads,
+# and skips ``exp`` where it underflows.  The reference below is the
+# construction as first written: two full-network ``pulse_response``
+# calls per width, the falling step on every row and ``exp`` on every
+# entry.  BLAS does not promise that a column subset of a product is
+# bitwise a column of the full product, so every table a campaign
+# builds is compared with it exactly.
+
+
+def _reference_pulse_response(solver, times, width, amplitude=1.0):
+    m = solver._modes
+
+    def step(ts):
+        v_ss = m.v_unit_ss * amplitude
+        modal0 = m.modes_inv @ (np.zeros(solver.network.n_nodes) - v_ss)
+        decay = np.exp(np.outer(ts, m.eigenvalues))
+        return v_ss[None, :] + decay * modal0[None, :] @ m.modes_fwd.T
+
+    rising = step(times)
+    falling = step(np.clip(times - width, 0.0, None))
+    falling[times < width] = 0.0
+    return rising - falling
+
+
+def _reference_table(transfer, r_decay=None):
+    """(rows, decay_tau) of an ``AttenuationTable`` as first built."""
+    widths = np.geomspace(10e-12, 500e-12, AttenuationTable.N_GRID)
+    rows = np.empty((len(widths), 4))
+    for i, w in enumerate(widths):
+        times = transfer._time_grid(float(w))
+        v_far = _reference_pulse_response(transfer.solver, times, float(w))[
+            :, transfer.far_node
+        ]
+        i_peak = int(np.argmax(v_far))
+        rows[i, 0] = v_far[i_peak]
+        rows[i, 2] = times[i_peak]
+        if v_far[i_peak] > 0.0:
+            above = np.flatnonzero(v_far >= 0.5 * v_far[i_peak])
+            rows[i, 1] = times[above[-1]] - times[above[0]]
+        else:
+            rows[i, 1] = 0.0
+        v0 = _reference_pulse_response(transfer.solver, times, float(w))[:, 0]
+        high = times <= w
+        i_drv = (1.0 - v0[high]) / transfer.r_drive
+        rows[i, 3] = float(np.trapezoid(i_drv, times[high]))
+    if r_decay is None:
+        decay_tau = transfer.solver.slowest_time_constant
+    else:
+        net = build_ladder(transfer.segment, r_decay, transfer.c_load)
+        decay_tau = TransientSolver(net).slowest_time_constant
+    return rows, decay_tau
+
+
+def _assert_table_is_reference(table, r_decay):
+    rows, decay_tau = _reference_table(table.transfer, r_decay)
+    assert np.array_equal(table.rows, rows)
+    assert table.decay_tau == decay_tau
+
+
+def _recorded_tables(monkeypatch, campaign):
+    """Every distinct table ``campaign()`` asks the cache for, with the
+    pull-down resistance it was built for."""
+    from repro.wire import attenuation
+
+    seen = {}
+    cached = attenuation._cached_table
+
+    def recording(*key):
+        table = cached(*key)
+        seen[key] = table
+        return table
+
+    monkeypatch.setattr(attenuation, "_cached_table", recording)
+    campaign()
+    monkeypatch.undo()
+    return [(table, key[-1]) for key, table in seen.items()]
+
+
+def test_fig6_monte_carlo_tables_equal_the_reference(monkeypatch):
+    # The pool a Fig. 6 benchmark set-up warms: 180 dies per design from
+    # seed 2013 under the short stress pattern.
+    from repro.circuit import robust_design, straightforward_design
+    from repro.circuit.prbs import worst_case_patterns
+    from repro.mc import run_monte_carlo
+
+    def campaign():
+        for design in (robust_design(), straightforward_design()):
+            run_monte_carlo(
+                design, n_runs=180, base_seed=2013,
+                pattern=worst_case_patterns(), n_jobs=1,
+            )
+
+    tables = _recorded_tables(monkeypatch, campaign)
+    assert len(tables) == 33
+    for table, r_decay in tables:
+        _assert_table_is_reference(table, r_decay)
+
+
+def test_sweep_and_fault_warm_up_tables_equal_the_reference(monkeypatch):
+    # An srlr_energy grid over 0.26-0.34 V (the service sweep's cells)
+    # and the calibrated design's link energy (the fault campaign's
+    # datapath price).
+    from repro.energy import srlr_link_energy
+    from repro.service.adapters import GRID_EVALUATORS
+
+    def campaign():
+        evaluate = GRID_EVALUATORS["srlr_energy"]
+        for i in range(200):
+            evaluate({"nominal_swing": round(0.26 + 0.08 * i / 199, 7)})
+        srlr_link_energy()
+
+    tables = _recorded_tables(monkeypatch, campaign)
+    assert tables
+    for table, r_decay in tables:
+        _assert_table_is_reference(table, r_decay)
+
+
+@pytest.mark.parametrize(
+    "r_drive, c_load, r_decay",
+    [
+        (300.0, 0.0, 400.0),  # no receiver load
+        (300.0, 2 * FF, None),  # decay through the pull-up path
+        (20e3, 2 * FF, 20e3),  # slow enough to hit the 6000-point cap
+    ],
+)
+def test_edge_case_tables_equal_the_reference(segment_1mm, r_drive, c_load, r_decay):
+    transfer = PulseTransfer(segment_1mm, r_drive, c_load)
+    if r_drive > 1e4:
+        assert len(transfer._time_grid(10e-12)) == 6000
+    _assert_table_is_reference(AttenuationTable(transfer, r_decay=r_decay), r_decay)
+
+
+def test_pulse_response_on_unsorted_times_equals_the_reference(segment_1mm):
+    solver = TransientSolver(build_ladder(segment_1mm, 300.0, 2 * FF))
+    width = 100 * PS
+    # The grid plus the falling edge itself, where the falling step is
+    # evaluated at t - width = 0.
+    times = np.random.default_rng(26).permutation(
+        np.append(np.linspace(0.0, 8 * solver.slowest_time_constant, 997), width)
+    )
+    want = _reference_pulse_response(solver, times, width, 0.6)
+    assert np.array_equal(solver.pulse_response(times, width, 0.6), want)
+    for nodes in ([0, 20], [20], [7, 3, 11]):
+        got = solver.pulse_response(times, width, 0.6, nodes)
+        assert np.array_equal(got, want[:, nodes])
+    # Exactly one time past the falling edge, and one on it.
+    times = np.array([3 * width, 0.5 * width, 0.0, 0.9 * width])
+    want = _reference_pulse_response(solver, times, width)
+    assert np.array_equal(solver.pulse_response(times, width), want)
+    assert np.array_equal(solver.pulse_response(times, width, 1.0, [20]), want[:, [20]])
+    times = np.array([width, 0.5 * width])
+    want = _reference_pulse_response(solver, times, width)
+    assert np.array_equal(solver.pulse_response(times, width), want)
+    assert np.array_equal(solver.pulse_response(times, width, 1.0, [20]), want[:, [20]])
+
+
+def test_far_end_waveform_equals_the_reference(transfer):
+    times, v = transfer.far_end_waveform(90 * PS, 0.55)
+    want = _reference_pulse_response(transfer.solver, times, 90 * PS, 0.55)
+    assert np.array_equal(v, want[:, transfer.far_node])
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
+def test_non_finite_pulse_width_refused(transfer, width):
+    with pytest.raises(ConfigurationError, match="width"):
+        transfer.far_end_waveform(width, 1.0)
+    with pytest.raises(ConfigurationError, match="width"):
+        transfer.solver.pulse_response(np.linspace(0.0, 1e-9, 5), width)
+    with pytest.raises(ConfigurationError, match="width"):
+        transfer.received(width, 1.0)

@@ -16,6 +16,7 @@ from repro.wire import (
     build_ladder,
     reference_segment,
 )
+from repro.wire.transient import UNDERFLOW_EXPONENT
 
 TECH = tech_45nm_soi()
 
@@ -147,3 +148,55 @@ def test_response_passivity_property(r_drive, width_ps):
     v = solver.pulse_response(times, width_ps * PS, 1.0)
     assert v.max() <= 1.0 + 1e-9
     assert v.min() >= -1e-9
+
+
+# --- the underflow cutoff of decay_grid ----------------------------------------
+
+
+def test_exp_is_positive_zero_at_and_below_the_underflow_cutoff():
+    # decay_grid writes +0.0 instead of calling exp at or below the
+    # cutoff; that is exact only if this host's exp gives +0.0 there.
+    cutoff = UNDERFLOW_EXPONENT
+    x = np.concatenate([
+        np.linspace(-900.0, cutoff, 400_001),
+        [np.nextafter(cutoff, -np.inf), cutoff, np.nextafter(cutoff, np.inf), -1e300],
+    ])
+    y = np.exp(x)
+    assert np.all(y == 0.0)
+    assert not np.any(np.signbit(y))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decay_grid_equals_exp_of_outer_across_the_subnormal_range(seed):
+    # Exponents from well inside the normal range, through the subnormal
+    # range [-745.2, -708], to past the cutoff.
+    rng = np.random.default_rng(seed)
+    rates = -np.sort(rng.uniform(1.0, 5.0, 21))
+    times = np.concatenate([
+        np.linspace(0.0, 900.0, 3001),
+        rng.uniform(708.0 / 5.0, 746.0, 2000),
+        UNDERFLOW_EXPONENT / rates,  # exactly on the cutoff (to rounding)
+    ])
+    got = TransientSolver.decay_grid(times, rates)
+    want = np.exp(np.outer(times, rates))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    x = np.outer(times, rates)
+    assert np.any((x > -745.2) & (x < -708.0))
+    assert np.any(x <= UNDERFLOW_EXPONENT)
+
+
+# --- non-finite inputs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_refused(segment_1mm, bad):
+    solver = TransientSolver(build_ladder(segment_1mm, r_drive=300.0))
+    times = np.array([0.0, 1e-12, bad])
+    v0 = np.zeros(solver.network.n_nodes)
+    with pytest.raises(ConfigurationError, match="times"):
+        solver.evolve(v0, 1.0, times)
+    with pytest.raises(ConfigurationError, match="times"):
+        solver.step_response(times)
+    with pytest.raises(ConfigurationError, match="times"):
+        solver.pulse_response(times, 50 * PS)
