@@ -102,7 +102,8 @@ class RepeaterlessLink:
         # Unequalized single-UI pulse response on a fine grid.
         t_end = (horizon + 1) * bit_period
         times = np.linspace(0.0, t_end, 2400)
-        far = self.solver.pulse_response(times, bit_period, 1.0)[:, -1]
+        far_node = self.solver.network.n_nodes - 1
+        far = self.solver.pulse_response(times, bit_period, 1.0, [far_node])[:, 0]
         # FFE: weighted sum of UI-shifted responses.
         eq = np.zeros_like(far)
         for i, tap in enumerate(self.taps):

@@ -27,7 +27,10 @@ dropped atomically.
 Determinism: every channel draws from an RNG seeded by
 ``derived_seed(seed, "fault/errors/<link token>")``, and fault states
 advance by cycle number — so per-link fault counts depend only on
-(model, seed, traffic), never on worker count or host.
+(model, seed, traffic), never on worker count or host.  A link whose
+flit error probability never changes (:class:`FixedRateChannel`) draws
+the same stream in blocks and keeps only the indices of its faulty
+draws; see ``docs/FAULTS.md``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,30 @@ def _channel_seeds(seed: int, tokens: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(derived_seed(seed, f"fault/errors/{token}") for token in tokens)
 
 
+#: Uniforms per numpy draw of a :class:`FixedRateChannel`.  A link of a
+#: campaign point draws 40-240 times, so the first block usually covers
+#: the whole run.
+_DRAW_BLOCK = 256
+
+
+def _faults_below(uniforms: np.ndarray, p: float, start: int) -> list[int]:
+    """Absolute indices of the ``uniforms`` (drawn from ``start`` on)
+    below ``p``, ascending."""
+    return (np.flatnonzero(uniforms < p) + start).tolist()
+
+
+@functools.lru_cache(maxsize=1024)
+def _first_block_faults(seed: int, p: float) -> tuple[int, ...]:
+    """The faulty draw indices of stream ``seed``'s first block at ``p``.
+
+    Every protocol at a BER replays the same per-link streams, so the
+    first block is drawn once per (seed, p); a channel builds its
+    generator only when it draws past this block.
+    """
+    rng = np.random.default_rng(seed)
+    return tuple(_faults_below(rng.random(_DRAW_BLOCK), p, 0))
+
+
 class FaultChannel:
     """Fault behavior of one link: errors, retries, drops, disable."""
 
@@ -126,7 +153,7 @@ class FaultChannel:
         link: Link,
         out_port: Port,
         state: LinkFaultState,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         protection: ProtectionConfig,
         flit_bits: int,
     ) -> None:
@@ -135,6 +162,7 @@ class FaultChannel:
         #: Output port of the source router this link hangs off.
         self.out_port = out_port
         self.state = state
+        #: The error stream (a FixedRateChannel builds it on demand).
         self.rng = rng
         self.protection = protection
         self.flit_bits = flit_bits
@@ -146,8 +174,10 @@ class FaultChannel:
         self._last_arrival = -1
         #: Packet ids mid-drop (head decided, tail not yet seen).
         self._dropping: set[int] = set()
-        #: id() of in-flight flits the far end must absorb.
-        self._absorbing: set[int] = set()
+        #: id() of in-flight flits the far end must absorb (empty on
+        #: every link that never drops, so engines test it before
+        #: calling :meth:`absorbs`).
+        self.absorbing: set[int] = set()
 
     # --- the wire ---------------------------------------------------------------------
 
@@ -222,8 +252,8 @@ class FaultChannel:
     def absorbs(self, flit: Flit) -> bool:
         """True when the far end must absorb (credit + discard) ``flit``."""
         key = id(flit)
-        if key in self._absorbing:
-            self._absorbing.discard(key)
+        if key in self.absorbing:
+            self.absorbing.discard(key)
             return True
         return False
 
@@ -246,7 +276,7 @@ class FaultChannel:
         if arrival <= self._last_arrival:
             arrival = self._last_arrival + 1
         self._last_arrival = arrival
-        self._absorbing.add(id(flit))
+        self.absorbing.add(id(flit))
         return arrival, flit
 
     def _maybe_disable(self, cycle: int) -> None:
@@ -260,6 +290,106 @@ class FaultChannel:
         self.counters.disabled_at = cycle
         self.layer.stats.links_disabled += 1
         self.layer.on_link_disabled(self)
+
+
+class FixedRateChannel(FaultChannel):
+    """A channel whose flit error probability ``p`` never changes.
+
+    Built for states with a fixed probability and no drops (the
+    constant-BER state behind :class:`repro.fault.models.UniformBer`).
+    It consumes the same uniform stream as :class:`FaultChannel`, one
+    draw per attempt while ``p > 0`` and none at ``p == 0``, but draws
+    it in numpy blocks of ``_DRAW_BLOCK`` and keeps only the absolute
+    indices of the draws below ``p``.  ``Generator.random(n)`` returns
+    the same doubles as ``n`` scalar ``random()`` calls, so attempt
+    ``i`` is faulty exactly when the scalar draw ``i`` would be.  The
+    first block comes from a per-(seed, p) memo; the generator is built
+    (and advanced past that block) only for a draw beyond it.
+
+    A clean first attempt on a live link (nearly every traversal) takes
+    a lean path: one index compare, no drop or retry bookkeeping (a
+    fixed-rate state never drops).  A faulty draw, the end of a block or
+    a disabled link runs the general :meth:`FaultChannel.transmit`,
+    whose attempts draw by index too.
+    """
+
+    def __init__(
+        self,
+        layer: "FaultLayer",
+        link: Link,
+        out_port: Port,
+        state: LinkFaultState,
+        seed: int,
+        protection: ProtectionConfig,
+        flit_bits: int,
+    ) -> None:
+        p = state.fixed_flit_error_probability(flit_bits)
+        super().__init__(
+            layer, link, out_port, state, None, protection, flit_bits
+        )
+        self.seed = seed
+        self.p = p
+        #: Attempts drawn so far (the index of the next draw).
+        self._draws = 0
+        #: End of the drawn blocks (draws generated so far).
+        self._drawn = 0
+        #: Faulty draw indices not yet reached, descending.
+        self._faults: list[int] = []
+        #: The next draw index that needs attention: the next faulty one
+        #: or the end of the drawn blocks; -1 at p == 0, where nothing
+        #: is ever drawn.
+        self._next = -1
+        if p > 0.0:
+            self._draw_block()
+
+    def transmit(self, link: Link, flit: Flit, cycle: int) -> tuple[int, Flit]:
+        """A clean attempt on a live link ends the hop at once; a faulty
+        draw, the end of a block or a disabled link runs the general
+        path."""
+        i = self._draws
+        if i == self._next or self.disabled:
+            return FaultChannel.transmit(self, link, flit, cycle)
+        self._draws = i + 1
+        self.counters.transmitted_flits += 1
+        self._consecutive_giveups = 0
+        arrival = cycle + link.latency
+        if arrival <= self._last_arrival:
+            arrival = self._last_arrival + 1  # the wire serializes
+        self._last_arrival = arrival
+        return arrival, flit
+
+    def _attempt_faulty(self, cycle: int) -> bool:
+        i = self._draws
+        self._draws = i + 1
+        return i == self._next and self._reached(i)
+
+    def _reached(self, i: int) -> bool:
+        """Draw ``i == self._next``: is it faulty?  Draws the next block
+        first when ``i`` is the end of the drawn ones."""
+        if i == self._drawn:
+            self._draw_block()
+            if i != self._next:
+                return False
+        faults = self._faults
+        faults.pop()
+        self._next = faults[-1] if faults else self._drawn
+        return True
+
+    def _draw_block(self) -> None:
+        start = self._drawn
+        if start == 0:
+            faults = _first_block_faults(self.seed, self.p)
+        else:
+            if self.rng is None:
+                # Block 0 came from the memo: skip its draws.
+                self.rng = np.random.default_rng(self.seed)
+                self.rng.random(_DRAW_BLOCK)
+            faults = _faults_below(
+                self.rng.random(_DRAW_BLOCK), self.p, start
+            )
+        self._faults = list(reversed(faults))
+        self._drawn = start + _DRAW_BLOCK
+        self._next = self._faults[-1] if self._faults else self._drawn
 
 
 class FaultLayer:
@@ -309,21 +439,33 @@ class FaultLayer:
         # the out port rides along (chiplet routers carry a sixth one).
         directed = sim.topology.directed_links()
         seeds = _channel_seeds(self.seed, tuple(tokens))
-        for link, (_src, out_port, _dst, _in_port), seed in zip(
-            sim.links, directed, seeds, strict=True
+        for link, token, (_src, out_port, _dst, _in_port), seed in zip(
+            sim.links, tokens, directed, seeds, strict=True
         ):
-            channel = FaultChannel(
-                layer=self,
-                link=link,
-                out_port=out_port,
-                state=states[link.token],
-                rng=np.random.default_rng(seed),
-                protection=self.protection,
-                flit_bits=self.flit_bits,
-            )
+            state = states[token]
+            if state.fixed_flit_error_probability(self.flit_bits) is None:
+                channel = FaultChannel(
+                    layer=self,
+                    link=link,
+                    out_port=out_port,
+                    state=state,
+                    rng=np.random.default_rng(seed),
+                    protection=self.protection,
+                    flit_bits=self.flit_bits,
+                )
+            else:
+                channel = FixedRateChannel(
+                    layer=self,
+                    link=link,
+                    out_port=out_port,
+                    state=state,
+                    seed=seed,
+                    protection=self.protection,
+                    flit_bits=self.flit_bits,
+                )
             link.channel = channel
-            self.channels[link.token] = channel
-            self.stats.per_link[link.token] = channel.counters
+            self.channels[token] = channel
+            self.stats.per_link[token] = channel.counters
         for router in sim.routers.values():
             router.fault_layer = self
         if self.protection.protocol == "reroute":
@@ -401,4 +543,10 @@ class FaultLayer:
         )
 
 
-__all__ = ["FaultChannel", "FaultLayer", "FaultStats", "LinkFaultCounters"]
+__all__ = [
+    "FaultChannel",
+    "FaultLayer",
+    "FaultStats",
+    "FixedRateChannel",
+    "LinkFaultCounters",
+]

@@ -70,6 +70,15 @@ class LinkFaultState:
         """True when the link is permanently absorbing whole packets."""
         return False
 
+    def fixed_flit_error_probability(self, flit_bits: int) -> float | None:
+        """The flit error probability if it never changes, else None.
+
+        A fixed probability (and no drops) lets the fault channel draw
+        its uniforms in blocks and keep only the faulty draw indices
+        (:class:`repro.fault.injector.FixedRateChannel`).
+        """
+        return None
+
 
 class _ConstantBerState(LinkFaultState):
     def __init__(self, ber: float) -> None:
@@ -84,6 +93,9 @@ class _ConstantBerState(LinkFaultState):
             self._p_flit = flit_error_probability(self.ber, flit_bits)
             self._flit_bits = flit_bits
         return self._p_flit
+
+    def fixed_flit_error_probability(self, flit_bits: int) -> float | None:
+        return self.flit_error_probability(0, flit_bits)
 
 
 class _EpisodeState(LinkFaultState):

@@ -176,9 +176,16 @@ class EndToEndTracker:
         self._next_tid = 0
         #: (due_cycle, seq, tid, dest, delivery_cycle) min-heap.
         self._acks: list[tuple[int, int, int, NodeId, int]] = []
+        #: (retry deadline, tid) min-heap, one live entry per transfer
+        #: still awaiting a delivery.  An entry whose transfer is gone
+        #: or fully delivered is stale and dropped when it surfaces
+        #: (``pending`` never grows back).
+        self._deadlines: list[tuple[int, int]] = []
         self._ack_seq = 0
         #: Bumps whenever the tracker acts; feeds the livelock signature.
         self.events = 0
+        #: Ack path lengths, (dest, src) -> hops.
+        self._hops: dict[tuple[NodeId, NodeId], int] = {}
 
     # --- hooks ------------------------------------------------------------------------
 
@@ -198,6 +205,7 @@ class EndToEndTracker:
             pending=set(packet.dests),
         )
         self._transfer_of_packet[packet.packet_id] = tid
+        heapq.heappush(self._deadlines, (cycle + self._timeouts[0], tid))
 
     def on_delivery(
         self, packet: Packet, dest: NodeId, cycle: int, corrupted: bool
@@ -214,7 +222,10 @@ class EndToEndTracker:
             return
         transfer.pending.discard(dest)
         transfer.last_delivery = cycle
-        hops = self.topology.hop_distance(dest, transfer.src)
+        route = (dest, transfer.src)
+        hops = self._hops.get(route)
+        if hops is None:
+            hops = self._hops[route] = self.topology.hop_distance(*route)
         due = cycle + hops * self._hop_cycles + self.config.ack_overhead_cycles
         heapq.heappush(self._acks, (due, self._ack_seq, tid, dest, cycle))
         self._ack_seq += 1
@@ -249,14 +260,19 @@ class EndToEndTracker:
                         retries=transfer.retries,
                     )
                 )
-        # Transfer ids are assigned in increasing order and never
-        # re-inserted, so dict order is id order (a test pins this).
+        # Due retries fire in transfer-id order: reinjected packets take
+        # their NIC queue positions and packet ids in that order.
+        deadlines = self._deadlines
+        due = []
+        while deadlines and deadlines[0][0] <= cycle:
+            tid = heapq.heappop(deadlines)[1]
+            transfer = self._transfers.get(tid)
+            if transfer is not None and transfer.pending:
+                due.append(tid)
+        due.sort()
         timeouts = self._timeouts
-        for tid, transfer in list(self._transfers.items()):
-            if not transfer.pending:
-                continue  # delivered; ack in flight
-            if cycle - transfer.last_send < timeouts[transfer.retries]:
-                continue
+        for tid in due:
+            transfer = self._transfers[tid]
             self.events += 1
             if transfer.retries >= self.config.max_packet_retries:
                 del self._transfers[tid]
@@ -264,6 +280,9 @@ class EndToEndTracker:
                 continue
             transfer.retries += 1
             transfer.last_send = cycle
+            heapq.heappush(
+                deadlines, (cycle + timeouts[transfer.retries], tid)
+            )
             self.stats.packet_retries += 1
             packet = Packet(
                 src=transfer.src,
@@ -282,14 +301,17 @@ class EndToEndTracker:
 
     def next_event_cycle(self) -> int | None:
         """Earliest future cycle at which the tracker will act."""
+        deadlines = self._deadlines
+        while deadlines:
+            transfer = self._transfers.get(deadlines[0][1])
+            if transfer is not None and transfer.pending:
+                break
+            heapq.heappop(deadlines)  # stale
         candidates = []
         if self._acks:
             candidates.append(self._acks[0][0])
-        for transfer in self._transfers.values():
-            if transfer.pending:
-                candidates.append(
-                    transfer.last_send + self._timeouts[transfer.retries]
-                )
+        if deadlines:
+            candidates.append(deadlines[0][0])
         return min(candidates) if candidates else None
 
 

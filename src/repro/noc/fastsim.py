@@ -39,8 +39,9 @@ more than it saves.  The layout is struct-of-arrays either way — the
 same flat indexing would back an ndarray or a kernel port directly.
 For the same reason the buffer-write / traverse / pop primitives are
 inlined into :meth:`step` (the call-chain overhead alone was comparable
-to the useful work); the slower per-flit paths (ejection, livelock
-diagnostics) stay as methods.
+to the useful work); the slower per-flit paths (ejections an end-to-end
+tracker must hear of, undeliverable flits, livelock diagnostics) stay as
+methods.
 
 Each cycle advances in phases mirroring the reference order exactly:
 buffer write (NIC-staged, then link arrivals), traffic generation, NIC
@@ -419,8 +420,16 @@ class FastNocSimulator(NocSimulator):
         n_writes = 0
         n_bypassed = 0
 
-        if fault_layer is not None:
+        # Deliveries take the inline path unless an end-to-end tracker
+        # must hear of them; under a fault layer a delivery is corrupted
+        # when its flit is or when a hop marked its packet.
+        if fault_layer is None:
+            inline_delivery = True
+            corrupted_ids = ()
+        else:
             fault_layer.begin_cycle(cycle)
+            inline_delivery = fault_layer.tracker is None
+            corrupted_ids = fault_layer._corrupted_packets
 
         # Slots whose head-of-line flit becomes ready this cycle.
         newly_ready = front_cal.pop(cycle, None)
@@ -480,7 +489,11 @@ class FastNocSimulator(NocSimulator):
                     # its flow-control lifecycle as a delivery's would:
                     # credit back, VC released on tails).
                     channel = links[li].channel
-                    if channel is not None and channel.absorbs(flit):
+                    if (
+                        channel is not None
+                        and channel.absorbing
+                        and channel.absorbs(flit)
+                    ):
                         if credits[s] >= C:
                             raise ProtocolError(
                                 f"credit overflow on slot {s}"
@@ -740,7 +753,7 @@ class FastNocSimulator(NocSimulator):
         # winners served in output-port order).
         n_reads = 0
         n_switched = 0
-        n_delivered = 0
+        n_ejected = 0
         n_sent = 0
         memo_arrival = -1
         memo_bucket = None
@@ -836,17 +849,21 @@ class FastNocSimulator(NocSimulator):
                     raise ProtocolError("switch winner lost its flit")
                 n_reads += 1
                 if out_p == _LOCAL:
-                    if (
-                        fault_layer is None
-                        and fl & _F_TAIL
-                        and ring_dest[f] == r
+                    if ring_dest[f] != r or (
+                        fl & _F_TAIL and not inline_delivery
                     ):
-                        # Delivery fast path (tail flit at its own
-                        # destination, no faults): _eject +
-                        # record_delivery + pop, inlined.
-                        stats.ejections += 1
-                        n_delivered += 1
+                        self._eject(cycle, r, s, f, fl, front)
+                        continue
+                    # Ejection fast path (a flit at its own destination;
+                    # a tail only when no e2e tracker must hear of its
+                    # delivery): _eject + record_delivery + pop, inlined.
+                    stats.ejections += 1
+                    n_ejected += 1
+                    if fl & _F_TAIL:
                         pkt = front.packet
+                        corrupted = (
+                            front.corrupted or pkt.packet_id in corrupted_ids
+                        )
                         deliveries.append(
                             DeliveryRecord(
                                 pkt.packet_id,
@@ -855,25 +872,11 @@ class FastNocSimulator(NocSimulator):
                                 cycle,
                                 False,
                                 src=pkt.src,
-                                corrupted=front.corrupted,
+                                corrupted=corrupted,
                             )
                         )
-                        if front.corrupted:
+                        if corrupted:
                             stats.corrupted_deliveries += 1
-                        ring_flit[f] = None
-                        head[s] = (head[s] + 1) % C
-                        cnt = count[s] = count[s] - 1
-                        if cnt == 0:
-                            hol_ready.discard(s)
-                        else:
-                            ready = ring_ready[s * C + head[s]]
-                            if ready > cycle + 1:
-                                hol_ready.discard(s)
-                                bucket = front_cal.get(ready)
-                                if bucket is None:
-                                    front_cal[ready] = [s]
-                                else:
-                                    bucket.append(s)
                         wh_port[s] = -1
                         wh_vc[s] = -1
                         if not owned[s]:
@@ -881,15 +884,28 @@ class FastNocSimulator(NocSimulator):
                                 f"release of free downstream VC (slot {s})"
                             )
                         owned[s] = False
-                        fr_valid[s] = False
-                        fr_vc[s] = -1
-                        if credits[s] >= C:
-                            raise ProtocolError(
-                                f"credit overflow on slot {s}"
-                            )
-                        credits[s] += 1
+                    elif fl & _F_HEAD:
+                        # Multi-flit packet ejecting here: the worm follows.
+                        wh_port[s] = _LOCAL
+                    ring_flit[f] = None
+                    head[s] = (head[s] + 1) % C
+                    cnt = count[s] = count[s] - 1
+                    if cnt == 0:
+                        hol_ready.discard(s)
                     else:
-                        self._eject(cycle, r, s, f, fl, front)
+                        ready = ring_ready[s * C + head[s]]
+                        if ready > cycle + 1:
+                            hol_ready.discard(s)
+                            bucket = front_cal.get(ready)
+                            if bucket is None:
+                                front_cal[ready] = [s]
+                            else:
+                                bucket.append(s)
+                    fr_valid[s] = False
+                    fr_vc[s] = -1
+                    if credits[s] >= C:
+                        raise ProtocolError(f"credit overflow on slot {s}")
+                    credits[s] += 1
                     continue
                 # Crossbar (crosspoint EN count kept on the reference
                 # Router's crossbar object for the energy model; the
@@ -992,8 +1008,8 @@ class FastNocSimulator(NocSimulator):
         if n_sent:
             self._inflight_total += n_sent
         # Cold-path ejections decrement the buffer total in _pop;
-        # switched flits and fast-path deliveries pop inline above.
-        self._buffered_total += n_writes - n_switched - n_delivered
+        # switched flits and fast-path ejections pop inline above.
+        self._buffered_total += n_writes - n_switched - n_ejected
         self.cycle += 1
 
     # --- ejection (the cold half of traversal) ----------------------------------------
@@ -1044,14 +1060,15 @@ class FastNocSimulator(NocSimulator):
 
     # --- drain bookkeeping ------------------------------------------------------------
 
-    def _network_busy(self) -> bool:
+    def _flits_in_network(self) -> bool:
+        # With no flit buffered, no arrival or front-readiness entry is
+        # pending either, so an idle-cycle jump leaves the calendars
+        # consistent.
         if self._inflight_total or self._nic_staged or self._buffered_total:
             return True
         for nic in self._nic_list:
             if nic.backlog:
                 return True
-        if self.fault_layer is not None and self.fault_layer.busy():
-            return True
         return False
 
     def _next_scheduled_event(self) -> int | None:

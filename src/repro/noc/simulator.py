@@ -69,8 +69,12 @@ class Nic:
     def __post_init__(self) -> None:
         self.out = OutputPort(self.config.n_vcs, self.config.vc_capacity)
         self.router.upstream[Port.LOCAL] = self.out
-        self._rng = np.random.default_rng(
-            (self.seed, self.node[0], self.node[1])
+        # Only O1TURN draws (one coin per packet); other routings build
+        # no generator.
+        self._rng = (
+            np.random.default_rng((self.seed, self.node[0], self.node[1]))
+            if self.config.routing == "o1turn"
+            else None
         )
 
     def offer(self, packet: Packet) -> None:
@@ -299,10 +303,30 @@ class NocSimulator:
         try:
             last_signature = None
             stalled_for = 0
-            for _ in range(drain_limit):
-                if not self._network_busy():
-                    break
+            # A source that draws nothing while draining (``silent_drain``)
+            # lets the loop jump over idle cycles: no flit anywhere, the
+            # fault layer waiting on a timer.  Stepping such a cycle only
+            # advances the clock, so the jump stops at the layer's next
+            # event and counts the skipped cycles as stepping would (the
+            # first drain cycle is always stepped, so a stall count has a
+            # signature to compare with).
+            silent = getattr(self.traffic, "silent_drain", False)
+            layer = self.fault_layer
+            drained = 0
+            while drained < drain_limit:
+                if not self._flits_in_network():
+                    if layer is None or not layer.busy():
+                        break
+                    if silent and last_signature is not None:
+                        event = layer.next_event_cycle()
+                        if event is not None and event > self.cycle:
+                            skip = min(event - self.cycle, drain_limit - drained)
+                            self.cycle += skip
+                            drained += skip
+                            stalled_for += skip
+                            continue
                 self.step()
+                drained += 1
                 signature = self._progress_signature()
                 if signature != last_signature:
                     last_signature = signature
@@ -343,6 +367,12 @@ class NocSimulator:
             upstream.release(vc)
 
     def _network_busy(self) -> bool:
+        return self._flits_in_network() or (
+            self.fault_layer is not None and self.fault_layer.busy()
+        )
+
+    def _flits_in_network(self) -> bool:
+        """True while a flit is in flight, staged, buffered or queued."""
         if any(link.busy for link in self.links):
             return True
         for nic in self.nics.values():
@@ -354,8 +384,6 @@ class NocSimulator:
             for port in router.inputs.values():
                 if port.occupancy:
                     return True
-        if self.fault_layer is not None and self.fault_layer.busy():
-            return True
         return False
 
     def _progress_signature(self) -> tuple[int, ...]:

@@ -184,8 +184,11 @@ class TraceTraffic:
     against whatever family member it was recorded on.  Replay drains
     through the explicit protocol (:meth:`begin_drain`/:meth:`end_drain`)
     shared with ``SyntheticTraffic`` instead of the old
-    ``injection_rate = 1.0`` compatibility hack.
+    ``injection_rate = 1.0`` compatibility hack.  A draining trace
+    returns no packets and draws nothing (``silent_drain``).
     """
+
+    silent_drain = True
 
     topology: Topology
     entries: list[TraceEntry]

@@ -103,7 +103,15 @@ class DrainableTraffic:
     stream), so drained runs stay bit-identical to the pre-protocol
     golden results.  Sources without a meaningful rate (trace replay)
     override with a flag instead.
+
+    ``silent_drain`` tells the simulator whether ``packets_for_cycle``
+    makes no packet *and draws nothing* while draining.  Only then may
+    ``NocSimulator.run`` jump over idle drain cycles without calling it;
+    a rate-parked source like this one keeps drawing, so it says False.
     """
+
+    #: True when draining makes ``packets_for_cycle`` a pure no-op.
+    silent_drain = False
 
     @property
     def draining(self) -> bool:

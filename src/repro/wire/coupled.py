@@ -153,13 +153,14 @@ class CoupledPair:
         check_pulse_width(width)
         times = self._times(width)
         v0 = np.zeros(self.solver.n_nodes)
-        high = self.solver.evolve(v0, np.array([v_amp, a_amp]), times)
+        u = np.array([v_amp, a_amp])
+        v = self.solver.evolve(v0, u, times)
         # Superpose the falling edges (linearity): subtract the shifted
-        # step responses.
-        shifted = np.clip(times - width, 0.0, None)
-        fall = self.solver.evolve(v0, np.array([v_amp, a_amp]), shifted)
-        fall[times < width] = 0.0
-        return times, high - fall
+        # step responses where they have started.
+        falling = times >= width
+        if np.any(falling):
+            v[falling] -= self.solver.evolve(v0, u, times[falling] - width)
+        return times, v
 
     def victim_noise(self, width: float, aggressor_amplitude: float) -> float:
         """Peak far-end noise on a quiet (driven-low) victim, volts."""

@@ -117,6 +117,11 @@ class PayloadedTraffic:
     def draining(self) -> bool:
         return self.inner.draining
 
+    @property
+    def silent_drain(self) -> bool:
+        # Payload words are drawn only for packets the inner source makes.
+        return getattr(self.inner, "silent_drain", False)
+
     def begin_drain(self) -> None:
         self.inner.begin_drain()
 
@@ -145,9 +150,12 @@ class TrafficTape:
     ``n_cycles``: an open-loop source's stream does not depend on the
     network, and a drained source runs at rate 0, so its later draws
     never make a packet.  The tape returns ``[]`` while draining and
-    past its last recorded cycle.  The recording is immutable; each
-    :meth:`replay` is a fresh source with its own drain state.
+    past its last recorded cycle, and draws nothing (``silent_drain``).
+    The recording is immutable; each :meth:`replay` is a fresh source
+    with its own drain state.
     """
+
+    silent_drain = True
 
     def __init__(self, source, n_cycles: int) -> None:
         self.topology = source.topology

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -50,6 +51,24 @@ def test_equalization_buys_rate_and_costs_energy():
 def test_short_wire_is_fast():
     short = RepeaterlessLink(T90, length=1 * MM, r_drive=300.0)
     assert short.max_data_rate() > 2.0e9
+
+
+@pytest.mark.parametrize("rate", [0.1e9, 0.3e9, 1.0e9, 3.0e9])
+@pytest.mark.parametrize(
+    "link_kwargs",
+    [dict(length=10 * MM), dict(length=1 * MM, r_drive=300.0)],
+)
+def test_far_node_pulse_response_matches_full_response(rate, link_kwargs):
+    """The cursors ask the solver for the far node alone; that column is
+    bitwise the last column of the full-node pulse response."""
+    link = RepeaterlessLink(T90, **link_kwargs)
+    bit_period = 1.0 / rate
+    times = np.linspace(0.0, 12 * bit_period, 2400)
+    full = link.solver.pulse_response(times, bit_period, 1.0)[:, -1]
+    far_node = link.solver.network.n_nodes - 1
+    far = link.solver.pulse_response(times, bit_period, 1.0, [far_node])
+    assert far.shape == (len(times), 1)
+    assert np.array_equal(far[:, 0], full)
 
 
 def test_eye_scales_with_drive_amplitude():

@@ -84,3 +84,21 @@ def test_pair_validation(segment_1mm):
     pair = CoupledPair(segment_1mm, 350.0, 350.0)
     with pytest.raises(ConfigurationError):
         pair.victim_noise(0.0, 0.4)
+
+
+@pytest.mark.parametrize("width", [20 * PS, 150 * PS, 244 * PS, 1000 * PS])
+@pytest.mark.parametrize("amps", [(0.0, 0.4), (0.3, -0.3), (0.3, 0.3)])
+def test_pulse_both_matches_full_grid_falling_step(pair, width, amps):
+    """The falling step, evaluated only where it has started, is bitwise
+    the construction that evaluates it on every row and zeroes the rows
+    before ``width``."""
+    v_amp, a_amp = amps
+    times = pair._times(width)
+    v0 = np.zeros(pair.solver.n_nodes)
+    u = np.array([v_amp, a_amp])
+    high = pair.solver.evolve(v0, u, times)
+    fall = pair.solver.evolve(v0, u, np.clip(times - width, 0.0, None))
+    fall[times < width] = 0.0
+    got_times, got = pair._pulse_both(width, v_amp, a_amp)
+    assert np.array_equal(got_times, times)
+    assert np.array_equal(got, high - fall)
