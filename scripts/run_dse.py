@@ -69,7 +69,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                         help="LHS sample count (default: 48)")
     parser.add_argument("--mc-runs", type=int, default=None, metavar="N",
                         help="Monte Carlo dies per candidate"
-                             " (default: 40 for fig8, 0 for sizing)")
+                             " (default: the study's own)")
     parser.add_argument("--store", type=Path, default=None, metavar="PATH",
                         help="run store path (default:"
                              " results/dse/<study>-<strategy>.jsonl)")
@@ -121,16 +121,16 @@ def main(argv: list[str] | None = None) -> int:
         resume=args.resume,
         progress=progress,
     )
+    if args.mc_runs is not None:
+        kwargs["mc_runs"] = args.mc_runs
     t0 = time.time()
     try:
         if args.study == "fig8":
-            mc_runs = 40 if args.mc_runs is None else args.mc_runs
-            outcome = fig8_study(mc_runs=mc_runs, **kwargs)
+            outcome = fig8_study(**kwargs)
             result = outcome.result
         else:
-            mc_runs = 0 if args.mc_runs is None else args.mc_runs
             outcome = None
-            result = sizing_study(mc_runs=mc_runs, **kwargs)
+            result = sizing_study(**kwargs)
     except CheckpointError as exc:
         print(f"run store: {exc}", file=sys.stderr)
         print(

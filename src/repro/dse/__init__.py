@@ -35,6 +35,7 @@ from repro.dse.engine import (
     run_dse,
 )
 from repro.dse.objectives import (
+    DseBatchConfig,
     Fig8Evaluator,
     InfeasibleDesign,
     NocTopologyEvaluator,
@@ -96,6 +97,7 @@ __all__ = [
     "Parameter",
     "SearchStrategy",
     "EVALUATORS",
+    "DseBatchConfig",
     "SizingEvaluator",
     "Zdt1Evaluator",
     "make_evaluator",

@@ -30,8 +30,8 @@ Provided adapters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import Any, ClassVar
 
 from repro.circuit.diagnostics import stage_margins
 from repro.circuit.driver import NMOSDriver
@@ -40,6 +40,7 @@ from repro.circuit.prbs import PrbsGenerator, worst_case_patterns
 from repro.circuit.srlr import robust_design
 from repro.energy.link_energy import srlr_link_energy
 from repro.energy.router import RouterPowerModel
+from repro.config import check_fields, checked
 from repro.errors import ConfigurationError, LivelockError
 from repro.mc import run_monte_carlo
 from repro.noc.power import price_stats
@@ -257,8 +258,8 @@ class NocTopologyEvaluator:
     """
 
     k: int = 4
-    warmup: int = 100
-    measure: int = 400
+    warmup: int = checked(100, interval="[0, inf)")
+    measure: int = checked(400, interval="[1, inf)")
     pattern: str = "uniform"
     size_flits: int = 1
 
@@ -268,15 +269,11 @@ class NocTopologyEvaluator:
     )
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.k < 4 or self.k % 2:
             raise ConfigurationError(
                 "NocTopologyEvaluator needs an even k >= 4 so every family"
                 f" member exists at a matched endpoint budget, got {self.k}"
-            )
-        if self.warmup < 0 or self.measure < 1:
-            raise ConfigurationError(
-                f"need warmup >= 0 and measure >= 1, got "
-                f"({self.warmup}, {self.measure})"
             )
 
     def menu(self) -> tuple[Topology, ...]:
@@ -348,11 +345,11 @@ class NocWorkloadEvaluator:
     keeps its recorded payload bits.
     """
 
-    k: int = 4
-    warmup: int = 100
-    measure: int = 400
+    k: int = checked(4, interval="[2, inf)")
+    warmup: int = checked(100, interval="[0, inf)")
+    measure: int = checked(400, interval="[1, inf)")
     size_flits: int = 1
-    payload_mode: str = "random"
+    payload_mode: str = checked("random", choices=PAYLOAD_MODES)
     coupling: bool = True
     trace_path: str | None = None
 
@@ -362,20 +359,7 @@ class NocWorkloadEvaluator:
     )
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ConfigurationError(
-                f"NocWorkloadEvaluator needs k >= 2, got {self.k}"
-            )
-        if self.warmup < 0 or self.measure < 1:
-            raise ConfigurationError(
-                f"need warmup >= 0 and measure >= 1, got "
-                f"({self.warmup}, {self.measure})"
-            )
-        if self.payload_mode not in PAYLOAD_MODES:
-            raise ConfigurationError(
-                f"payload_mode must be one of {PAYLOAD_MODES}, "
-                f"got {self.payload_mode!r}"
-            )
+        check_fields(self)
 
     def menu(self) -> tuple[str, ...]:
         """The searchable workloads, index-aligned with ``workload_index``."""
@@ -480,7 +464,38 @@ def make_evaluator(name: str, **kwargs):
     return EVALUATORS[name](**kwargs)
 
 
+@dataclass(frozen=True)
+class DseBatchConfig:
+    """A fixed batch of candidate evaluations: the service's
+    ``dse_batch`` config.
+
+    ``evaluator`` names an :data:`EVALUATORS` class, built with
+    ``evaluator_kwargs``; ``candidates`` are parameter dicts (e.g. one
+    NSGA-II generation), held as floats; candidate seeds derive from
+    ``base_seed`` by content, as in the DSE engine.  ``evaluator`` and
+    ``candidates`` are required: their defaults are refused.
+    """
+
+    evaluator: str = checked("", choices=sorted(EVALUATORS))
+    candidates: list[dict[str, float]] = field(default_factory=list)
+    evaluator_kwargs: dict[str, Any] = field(default_factory=dict)
+    base_seed: int = 2013
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        candidates = [{k: float(v) for k, v in p.items()} for p in self.candidates]
+        object.__setattr__(self, "candidates", candidates)
+        try:
+            make_evaluator(self.evaluator, **self.evaluator_kwargs)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"evaluator_kwargs {self.evaluator_kwargs!r} do not fit "
+                f"evaluator {self.evaluator!r}: {exc}"
+            ) from None
+
+
 __all__ = [
+    "DseBatchConfig",
     "EVALUATORS",
     "Fig8Evaluator",
     "InfeasibleDesign",

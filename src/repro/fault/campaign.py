@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import argparse
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from repro.config import check_fields, checked
 from repro.errors import ConfigurationError, LivelockError, WorkloadConfigError
 from repro.fault.energy import ProtectionCosts, price_fault_run
 from repro.fault.injector import FaultLayer
@@ -65,9 +66,10 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.seeds import derived_seed
 
 
-def _flag(default, help: str, choices=None):
-    """A config field with a command-line flag (:func:`add_config_flags`)."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def _flag(default, help: str, choices=None, **checks):
+    """A config field with a command-line flag (:func:`add_config_flags`);
+    ``checks`` are :func:`~repro.config.check_fields` metadata."""
+    return checked(default, help=help, choices=choices, **checks)
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,19 @@ class FaultCampaignConfig:
     """
 
     topology: str = _flag("mesh", "topology family", sorted(TOPOLOGY_KINDS))
-    k: int = _flag(4, "router-grid radix (per chiplet for --topology chiplet)")
+    k: int = _flag(
+        4, "router-grid radix (per chiplet for --topology chiplet)",
+        interval="[2, inf)",
+    )
     concentration: int = _flag(1, "cores per router (--topology cmesh)")
     chiplets_x: int = _flag(1, "chiplet grid width (--topology chiplet)")
     chiplets_y: int = _flag(1, "chiplet grid height (--topology chiplet)")
     noi_scale: float = _flag(
         2.0, "NoI link length relative to 1 mm NoC links (--topology chiplet)"
     )
-    injection_rate: float = _flag(0.05, "injection rate, packets/node/cycle")
+    injection_rate: float = _flag(
+        0.05, "injection rate, packets/node/cycle", interval="(0, 1]"
+    )
     pattern: str = _flag("uniform", "traffic pattern")
     size_flits: int = _flag(2, "flits per packet")
     warmup: int = _flag(100, "cycles before the measurement window")
@@ -94,7 +101,8 @@ class FaultCampaignConfig:
     drain_limit: int = _flag(20_000, "cycles allowed to drain the network")
     stall_window: int = 500
     bers: tuple[float, ...] = _flag(
-        (1e-6, 1e-4, 1e-3, 1e-2), "raw per-bit error rates to sweep"
+        (1e-6, 1e-4, 1e-3, 1e-2), "raw per-bit error rates to sweep",
+        interval="[0, 1]",
     )
     protocols: tuple[str, ...] = _flag(PROTOCOLS, "protection schemes", PROTOCOLS)
     flit_bits: int = 64
@@ -107,14 +115,19 @@ class FaultCampaignConfig:
     engine: str = _flag("fast", "NoC cycle-loop engine", sorted(ENGINES))
     #: Share of injected packets that are multicast (single-flit, random
     #: destination set of ``multicast_degree``); 0 keeps pure unicast.
-    multicast_fraction: float = _flag(0.0, "share of multicast packets")
+    multicast_fraction: float = _flag(
+        0.0, "share of multicast packets", interval="[0, 1]"
+    )
     multicast_degree: int = _flag(4, "destinations per multicast packet")
     #: Workload family (:data:`repro.workload.WORKLOADS`): the Bernoulli
     #: synthetics, Markov on/off bursts, multicast collectives, or a
     #: recorded trace replay.  Fields that do not apply to the selected
     #: workload must stay at their defaults — mixing refuses loudly with
     #: a :class:`~repro.errors.WorkloadConfigError`.
-    workload: str = _flag("synthetic", "workload family", sorted(WORKLOADS))
+    workload: str = _flag(
+        "synthetic", "workload family", sorted(WORKLOADS),
+        error=WorkloadConfigError,
+    )
     #: Trace file (JSON or text format) for workload="trace".  Campaign
     #: identity hashes the trace's *content*, not this path.
     trace_path: str | None = _flag(None, "trace file to replay (--workload trace)")
@@ -124,31 +137,27 @@ class FaultCampaignConfig:
         0.25, "multicast share (--workload collective)"
     )
     collective: str = _flag(
-        "row", "destination set (--workload collective)", sorted(COLLECTIVES)
+        "row", "destination set (--workload collective)", sorted(COLLECTIVES),
+        error=WorkloadConfigError,
     )
     #: What bits flits carry (:data:`repro.workload.PAYLOAD_MODES`):
     #: "constant" keeps the worst-case per-bit price, "random" /
     #: "worst_case" switch link pricing to counted bit transitions.
     #: Traces carry their own recorded bits.
     payload_mode: str = _flag(
-        "constant", "what bits flits carry", sorted(PAYLOAD_MODES)
+        "constant", "what bits flits carry", sorted(PAYLOAD_MODES),
+        error=WorkloadConfigError,
     )
     #: Include the coupled-line Miller surcharge in data-dependent
     #: pricing; only meaningful when payload bits are being counted.
     coupling: bool = _flag(True, "drop the crosstalk term from data-dependent pricing")
 
     def __post_init__(self) -> None:
+        check_fields(self)
         # JSON configs carry lists; the frozen config must stay hashable
         # (it keys the per-process traffic tape memo).
         object.__setattr__(self, "bers", tuple(self.bers))
         object.__setattr__(self, "protocols", tuple(self.protocols))
-        if self.k < 2:
-            raise ConfigurationError(f"k must be >= 2, got {self.k}")
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ConfigurationError(
-                f"topology must be one of {TOPOLOGY_KINDS}, "
-                f"got {self.topology!r}"
-            )
         # Build once to fail fast with the builder's named-parameter
         # errors (bad concentration, chiplet grid, noi_scale).
         topo = self.build_topology()
@@ -157,37 +166,9 @@ class FaultCampaignConfig:
                 "multicast_fraction > 0 requires a grid-endpoint topology "
                 f"(mesh, torus); got topology={self.topology!r}"
             )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
-        datapaths = self._choices("datapath")
-        if self.datapath not in datapaths:
-            raise ConfigurationError(
-                f"datapath must be one of {datapaths}, got {self.datapath!r}"
-            )
-        if not 0.0 < self.injection_rate <= 1.0:
-            raise ConfigurationError(
-                f"injection_rate must lie in (0, 1], got {self.injection_rate}"
-            )
         if self.pattern not in PATTERNS:
             raise ConfigurationError(
                 f"unknown pattern {self.pattern!r}; choose from {PATTERNS}"
-            )
-        if not 0.0 <= self.multicast_fraction <= 1.0:
-            raise ConfigurationError(
-                f"multicast_fraction must lie in [0, 1], "
-                f"got {self.multicast_fraction}"
-            )
-        if not self.bers:
-            raise ConfigurationError("campaign needs at least one BER point")
-        for ber in self.bers:
-            if not 0.0 <= ber <= 1.0:
-                raise ConfigurationError(f"ber must lie in [0, 1], got {ber}")
-        unknown = set(self.protocols) - set(PROTOCOLS)
-        if unknown or not self.protocols:
-            raise ConfigurationError(
-                f"protocols must be a non-empty subset of {PROTOCOLS}"
             )
         self._validate_workload(topo)
 
@@ -199,41 +180,17 @@ class FaultCampaignConfig:
         :class:`~repro.errors.WorkloadConfigError` naming the offending
         combination, never a quiet no-op.
         """
-        if self.workload not in WORKLOADS:
-            raise WorkloadConfigError(
-                f"workload must be one of {WORKLOADS}, got {self.workload!r}"
-            )
-        if self.payload_mode not in PAYLOAD_MODES:
-            raise WorkloadConfigError(
-                f"payload_mode must be one of {PAYLOAD_MODES}, "
-                f"got {self.payload_mode!r}"
-            )
-        if self.collective not in COLLECTIVES:
-            raise WorkloadConfigError(
-                f"collective must be one of {COLLECTIVES}, "
-                f"got {self.collective!r}"
-            )
-        if self.workload != "trace" and self._off_default("trace_path"):
-            raise WorkloadConfigError(
-                f"trace_path applies only to workload='trace' "
-                f"(got workload={self.workload!r})"
-            )
-        if self.workload != "bursty" and self._off_default(
-            "burst_on", "burst_off"
+        for workload, names in (
+            ("trace", ("trace_path",)),
+            ("bursty", ("burst_on", "burst_off")),
+            ("collective", ("collective_fraction", "collective")),
         ):
-            raise WorkloadConfigError(
-                f"burst_on/burst_off=({self.burst_on}, {self.burst_off}) "
-                f"apply only to workload='bursty' "
-                f"(got workload={self.workload!r})"
-            )
-        if self.workload != "collective" and self._off_default(
-            "collective_fraction", "collective"
-        ):
-            raise WorkloadConfigError(
-                f"collective_fraction/collective=({self.collective_fraction}, "
-                f"{self.collective!r}) apply only to workload='collective' "
-                f"(got workload={self.workload!r})"
-            )
+            offending = self._off_default(*names)
+            if offending and self.workload != workload:
+                raise WorkloadConfigError(
+                    f"{', '.join(offending)} apply only to workload="
+                    f"{workload!r} (got workload={self.workload!r})"
+                )
         if self.workload == "bursty" and self._off_default("multicast_fraction"):
             raise WorkloadConfigError(
                 f"workload='bursty' is unicast-only; "
@@ -279,10 +236,6 @@ class FaultCampaignConfig:
                     f"{topology_spec(trace.topology)} but the campaign "
                     f"asks for {topology_spec(topo)}"
                 )
-
-    def _choices(self, name: str) -> tuple:
-        """The choices declared on field ``name``'s flag."""
-        return next(f for f in fields(self) if f.name == name).metadata["choices"]
 
     def _off_default(self, *names: str) -> list[str]:
         """``name=value`` of each named field that is off its default."""

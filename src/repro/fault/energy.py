@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.config import check_fields, checked
 from repro.energy.router import RouterPowerModel
 from repro.fault.injector import FaultStats
 from repro.fault.protection import ProtectionConfig
@@ -40,24 +40,15 @@ class ProtectionCosts:
 
     #: CRC generate + check logic per hop, as a fraction of the datapath
     #: flit energy (a 64-bit parallel CRC is small next to a 64x1mm bus).
-    crc_fraction: float = 0.05
+    crc_fraction: float = checked(0.05, interval="[0, 1]")
     #: Nack back-channel per retransmission, as a datapath fraction (a
     #: single-wire signal against a 64-bit bus).
-    nack_fraction: float = 0.15
+    nack_fraction: float = checked(0.15, interval="[0, 1]")
     #: Ack packet width for end-to-end protection, bits on the wire.
-    ack_bits: int = 8
+    ack_bits: int = checked(8, interval="[1, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.crc_fraction <= 1.0:
-            raise ConfigurationError(
-                f"crc_fraction must lie in [0, 1], got {self.crc_fraction}"
-            )
-        if not 0.0 <= self.nack_fraction <= 1.0:
-            raise ConfigurationError(
-                f"nack_fraction must lie in [0, 1], got {self.nack_fraction}"
-            )
-        if self.ack_bits < 1:
-            raise ConfigurationError(f"ack_bits must be >= 1, got {self.ack_bits}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import check_fields, checked
 from repro.errors import ConfigurationError
 from repro.circuit.link import SRLRLink
 from repro.circuit.srlr import robust_design
@@ -217,11 +218,10 @@ class NoFaults(FaultModel):
 class UniformBer(FaultModel):
     """A flat per-bit error rate on every link (the campaign sweep axis)."""
 
-    ber: float = 1e-6
+    ber: float = checked(1e-6, interval="[0, 1]")
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ber <= 1.0:
-            raise ConfigurationError(f"ber must lie in [0, 1], got {self.ber}")
+        check_fields(self)
 
     @property
     def key(self) -> str:
@@ -308,19 +308,13 @@ class SupplyDroop(FaultModel):
     is ``droop_ber`` instead of ``base_ber``.
     """
 
-    base_ber: float = 1e-12
-    droop_ber: float = 1e-3
-    mean_interval_cycles: float = 400.0
-    mean_duration_cycles: float = 40.0
+    base_ber: float = checked(1e-12, interval="[0, 1]")
+    droop_ber: float = checked(1e-3, interval="[0, 1]")
+    mean_interval_cycles: float = checked(400.0, interval="(0, inf)")
+    mean_duration_cycles: float = checked(40.0, interval="(0, inf)")
 
     def __post_init__(self) -> None:
-        for key in ("base_ber", "droop_ber"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{key} must lie in [0, 1], got {value}")
-        for key in ("mean_interval_cycles", "mean_duration_cycles"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigurationError(f"{key} must be positive")
+        check_fields(self)
 
     @property
     def key(self) -> str:
@@ -345,16 +339,11 @@ class CrosstalkBurst(FaultModel):
     corruption probability on top of ``base_ber``.
     """
 
-    burst_probability: float = 1e-4
-    base_ber: float = 0.0
+    burst_probability: float = checked(1e-4, interval="[0, 1]")
+    base_ber: float = checked(0.0, interval="[0, 1]")
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.burst_probability <= 1.0:
-            raise ConfigurationError(
-                f"burst_probability must lie in [0, 1], got {self.burst_probability}"
-            )
-        if not 0.0 <= self.base_ber <= 1.0:
-            raise ConfigurationError(f"base_ber must lie in [0, 1], got {self.base_ber}")
+        check_fields(self)
 
     @property
     def key(self) -> str:

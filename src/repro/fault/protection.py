@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigurationError
+from repro.config import check_fields, checked
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology, NodeId
 
@@ -53,43 +53,28 @@ PROTOCOLS: tuple[str, ...] = ("none", "crc", "e2e", "reroute")
 class ProtectionConfig:
     """Knobs for one protection scheme (frozen: hashable, picklable)."""
 
-    protocol: str = "none"
+    protocol: str = checked("none", choices=PROTOCOLS)
     # --- link-level (crc / reroute) ---
     #: Retransmission attempts per hop before forwarding corrupted data.
-    max_link_retries: int = 16
+    max_link_retries: int = checked(16, interval="[1, inf)")
     #: Extra cycles per nack beyond the 2x link-latency round trip.
-    nack_turnaround: int = 1
+    nack_turnaround: int = checked(1, interval="[0, inf)")
     #: Consecutive per-hop give-ups before reroute disables the link.
-    disable_threshold: int = 4
+    disable_threshold: int = checked(4, interval="[1, inf)")
     # --- end-to-end (e2e) ---
     #: Reinjections per transfer before declaring it failed.
-    max_packet_retries: int = 8
+    max_packet_retries: int = checked(8, interval="[0, inf)")
     #: Fixed ack processing overhead on top of the hop-count flight time.
     ack_overhead_cycles: int = 4
     #: Base retry timeout; None derives one from mesh diameter at attach.
-    timeout_cycles: int | None = None
+    timeout_cycles: int | None = checked(None, interval="[1, inf)")
     #: Timeout multiplier per successive retry (exponential backoff).
-    backoff_factor: float = 2.0
+    backoff_factor: float = checked(2.0, interval="[1, inf)")
     #: Cap on the backoff multiplier, as a multiple of the base timeout.
     max_backoff_scale: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"
-            )
-        if self.max_link_retries < 1:
-            raise ConfigurationError("max_link_retries must be >= 1")
-        if self.nack_turnaround < 0:
-            raise ConfigurationError("nack_turnaround must be >= 0")
-        if self.disable_threshold < 1:
-            raise ConfigurationError("disable_threshold must be >= 1")
-        if self.max_packet_retries < 0:
-            raise ConfigurationError("max_packet_retries must be >= 0")
-        if self.timeout_cycles is not None and self.timeout_cycles < 1:
-            raise ConfigurationError("timeout_cycles must be >= 1")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1.0")
+        check_fields(self)
 
     @property
     def link_level(self) -> bool:

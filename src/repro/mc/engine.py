@@ -21,14 +21,19 @@ hash to an already-computed entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
-from repro.errors import ConfigurationError
+from repro.config import check_fields, checked
 from repro.circuit.link import SRLRLink, transmit_batch
 from repro.circuit.prbs import PrbsGenerator, worst_case_patterns
-from repro.circuit.srlr import SRLRDesignParams
+from repro.circuit.srlr import (
+    SRLRDesignParams,
+    robust_design,
+    straightforward_design,
+)
 from repro.runtime import (
     MISS,
     ParallelExecutor,
@@ -46,6 +51,39 @@ from repro.tech.variation import monte_carlo_sample
 def default_stress_pattern(n_prbs: int = 127) -> list[int]:
     """The measurement pattern: PRBS7 traffic plus the '11110' stressors."""
     return PrbsGenerator(7).bits(n_prbs) + worst_case_patterns()
+
+
+#: Named link designs submittable by JSON configs.
+DESIGNS: dict[str, Callable[..., SRLRDesignParams]] = {
+    "robust": robust_design,
+    "straightforward": straightforward_design,
+}
+
+
+@dataclass(frozen=True)
+class MonteCarloConfig:
+    """One Monte Carlo campaign: the service's ``monte_carlo`` config,
+    and the defaults and checks of :func:`run_monte_carlo`.
+
+    ``design`` names a :data:`DESIGNS` builder, called with
+    ``design_kwargs`` (:func:`run_monte_carlo` takes the design itself).
+    Die ``i`` draws seed ``base_seed + i``.  ``pattern`` defaults to the
+    paper's stress pattern; ``block_size`` is the dies per service task.
+    """
+
+    design: str = checked("robust", choices=sorted(DESIGNS))
+    design_kwargs: dict[str, Any] = field(default_factory=dict)
+    n_runs: int = checked(1000, interval="[1, inf)")
+    base_seed: int = 2013
+    bit_period: float = checked(1.0 / 4.1e9, interval="(0, inf)")
+    local_enabled: bool = True
+    pattern: tuple[int, ...] | None = checked(None, choices=(0, 1))
+    block_size: int = checked(16, interval="[1, inf)")
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        pattern = self.pattern or default_stress_pattern()
+        object.__setattr__(self, "pattern", tuple(pattern))
 
 
 @dataclass(frozen=True)
@@ -155,48 +193,20 @@ def simulate_die(
 
 def run_payload(run: McRun) -> dict:
     """The JSON checkpoint payload of one die (floats round-trip exactly)."""
-    return {
-        "seed": run.seed,
-        "ok": run.ok,
-        "n_errors": run.n_errors,
-        "stuck": run.stuck,
-        "dvth_n": run.dvth_n,
-        "dvth_p": run.dvth_p,
-    }
+    return asdict(run)
 
 
 def run_from_payload(payload: dict) -> McRun:
-    return McRun(
-        seed=int(payload["seed"]),
-        ok=bool(payload["ok"]),
-        n_errors=int(payload["n_errors"]),
-        stuck=bool(payload["stuck"]),
-        dvth_n=float(payload["dvth_n"]),
-        dvth_p=float(payload["dvth_p"]),
-    )
-
-
-def check_campaign(n_runs: int, bit_period: float, pattern) -> None:
-    """Reject a Monte Carlo configuration that would fail inside every die.
-
-    The one set of checks behind :func:`run_monte_carlo` and the service's
-    ``monte_carlo`` adapter, so a bad config fails where it is given.
-    """
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    if bit_period <= 0.0:
-        raise ConfigurationError(f"bit_period must be positive, got {bit_period}")
-    if any(bit not in (0, 1) for bit in pattern):
-        raise ConfigurationError("pattern bits must be 0/1")
+    return McRun(**payload)
 
 
 def run_monte_carlo(
     design: SRLRDesignParams,
-    n_runs: int = 1000,
-    bit_period: float = 1.0 / 4.1e9,
+    n_runs: int = MonteCarloConfig.n_runs,
+    bit_period: float = MonteCarloConfig.bit_period,
     pattern: list[int] | None = None,
-    base_seed: int = 2013,
-    local_enabled: bool = True,
+    base_seed: int = MonteCarloConfig.base_seed,
+    local_enabled: bool = MonteCarloConfig.local_enabled,
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
     cache: ResultCache | None = None,
@@ -209,13 +219,15 @@ def run_monte_carlo(
     so individual failing dies can be reproduced exactly, and designs
     run with the same ``base_seed`` see the same dies.
     ``local_enabled=False`` restricts variation to global corners only
-    (useful for ablating the two variation scales).
+    (useful for ablating the two variation scales).  The defaults and
+    checks of these parameters are :class:`MonteCarloConfig`'s: a bad
+    value is a :class:`~repro.errors.ConfigurationError` naming it.
 
     ``n_jobs`` fans the dies across worker processes; results are
     identical for every worker count.  A pre-built ``executor`` replaces
-    it (passing both is a :class:`ConfigurationError`) and carries
-    everything else about execution: a ``progress`` hook,
-    or a :class:`~repro.runtime.ResilienceConfig` (per-die timeouts,
+    it (passing both is a :class:`~repro.errors.ConfigurationError`) and
+    carries everything else about execution: a ``progress`` hook, or a
+    :class:`~repro.runtime.ResilienceConfig` (per-die timeouts,
     deterministic retries, worker-crash recovery) under which, with
     ``strict=False``, dies whose task exhausted its budget land in
     :attr:`McResult.failures` instead of aborting the campaign.
@@ -230,14 +242,19 @@ def run_monte_carlo(
     uninterrupted one.  Every die depends only on its own seed, which is
     why replayed and recomputed dies mix freely.
     """
-    pattern = default_stress_pattern() if pattern is None else pattern
-    check_campaign(n_runs, bit_period, pattern)
+    pattern = MonteCarloConfig(
+        n_runs=n_runs,
+        base_seed=base_seed,
+        bit_period=bit_period,
+        local_enabled=local_enabled,
+        pattern=pattern,
+    ).pattern
     seeds = sequential_seeds(base_seed, n_runs)
 
     campaign_key = content_key(
         "run_monte_carlo/v1",
         design,
-        tuple(pattern),
+        pattern,
         bit_period,
         tuple(seeds),
         local_enabled,
@@ -253,7 +270,7 @@ def run_monte_carlo(
     worker = partial(
         simulate_dies,
         design=design,
-        pattern=tuple(pattern),
+        pattern=pattern,
         bit_period=bit_period,
         local_enabled=local_enabled,
     )
@@ -341,10 +358,11 @@ def immunity_ratio(reference: McResult, contender: McResult) -> ImmunityRatio:
 
 
 __all__ = [
+    "DESIGNS",
     "ImmunityRatio",
     "McResult",
     "McRun",
-    "check_campaign",
+    "MonteCarloConfig",
     "default_stress_pattern",
     "immunity_ratio",
     "run_from_payload",

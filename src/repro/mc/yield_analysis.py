@@ -22,7 +22,7 @@ from repro.circuit.srlr import (
     robust_design,
     straightforward_design,
 )
-from repro.mc.engine import McResult, run_monte_carlo
+from repro.mc.engine import McResult, MonteCarloConfig, run_monte_carlo
 from repro.runtime import (
     ParallelExecutor,
     ProgressHook,
@@ -104,10 +104,10 @@ class SwingSweep:
 def sweep_swing(
     swings: list[float],
     variants: list[str] | None = None,
-    n_runs: int = 1000,
-    bit_period: float = 1.0 / 4.1e9,
+    n_runs: int = MonteCarloConfig.n_runs,
+    bit_period: float = MonteCarloConfig.bit_period,
     tech: Technology | None = None,
-    base_seed: int = 2013,
+    base_seed: int = MonteCarloConfig.base_seed,
     n_jobs: int | None = 1,
     executor: ParallelExecutor | None = None,
     cache: ResultCache | None = None,

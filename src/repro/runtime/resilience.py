@@ -39,7 +39,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ConfigurationError, TaskTimeoutError
+from repro.config import check_fields, checked
+from repro.errors import TaskTimeoutError
 
 #: Failure categories carried by :attr:`TaskFailure.kind`.
 FAILURE_KINDS = ("exception", "timeout", "crash", "hang")
@@ -97,36 +98,17 @@ class ResilienceConfig:
         Parent-side poll interval while hard deadlines are armed.
     """
 
-    timeout: float | None = None
-    hard_timeout: float | None = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
+    timeout: float | None = checked(None, interval="(0, inf)")
+    hard_timeout: float | None = checked(None, interval="(0, inf)")
+    max_retries: int = checked(2, interval="[0, inf)")
+    backoff_base: float = checked(0.05, interval="[0, inf)")
+    backoff_factor: float = checked(2.0, interval="[1, inf)")
+    backoff_max: float = checked(2.0, interval="[0, inf)")
     strict: bool = False
-    watchdog_poll: float = 0.05
+    watchdog_poll: float = checked(0.05, interval="(0, inf)")
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0.0:
-            raise ConfigurationError(f"timeout must be positive, got {self.timeout}")
-        if self.hard_timeout is not None and self.hard_timeout <= 0.0:
-            raise ConfigurationError(
-                f"hard_timeout must be positive, got {self.hard_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0.0 or self.backoff_max < 0.0:
-            raise ConfigurationError("backoff budgets must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.watchdog_poll <= 0.0:
-            raise ConfigurationError(
-                f"watchdog_poll must be positive, got {self.watchdog_poll}"
-            )
+        check_fields(self)
 
     @property
     def max_attempts(self) -> int:

@@ -28,16 +28,22 @@ Because configs must be JSON, evaluators and designs are referenced *by
 name* through registries (:data:`DESIGNS`, :data:`GRID_EVALUATORS`,
 :data:`repro.dse.objectives.EVALUATORS`) rather than shipped as
 pickled callables — a submission is data, never code.
+
+Each kind's keys, defaults and checks are one frozen dataclass, its
+adapter's ``config_type``; ``canonical_config`` is that dataclass's
+``asdict``, and ``expand``/``run_task``/``merge`` read the canonical
+dict as stored, so no task re-validates its campaign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable
 
 from repro.analysis.sweep import GridResult, grid_points
-from repro.circuit.srlr import robust_design, straightforward_design
+from repro.circuit.srlr import robust_design
+from repro.config import check_fields, checked
 from repro.dse.engine import (
     EvalRecord,
     _evaluate_task,
@@ -45,7 +51,7 @@ from repro.dse.engine import (
     candidate_seed,
     eval_record,
 )
-from repro.dse.objectives import make_evaluator
+from repro.dse.objectives import DseBatchConfig, make_evaluator
 from repro.energy.link_energy import srlr_link_energy
 from repro.errors import ConfigurationError, ServiceError
 from repro.fault.campaign import (
@@ -58,20 +64,14 @@ from repro.fault.campaign import (
 )
 from repro.noc.trace import trace_file_hash
 from repro.mc.engine import (
+    DESIGNS,
     McResult,
-    check_campaign,
-    default_stress_pattern,
+    MonteCarloConfig,
     run_from_payload,
     run_payload,
     simulate_dies,
 )
 from repro.runtime.seeds import sequential_seeds
-
-#: Named link designs submittable by JSON configs.
-DESIGNS: dict[str, Callable] = {
-    "robust": robust_design,
-    "straightforward": straightforward_design,
-}
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,24 @@ class CampaignAdapter:
     """Interface of one campaign kind (see module docstring)."""
 
     kind: str = ""
-    #: The config keys this kind accepts; any other key is refused.
-    KEYS: frozenset[str] = frozenset()
-
-    def _known(self, config: dict) -> dict:
-        """A copy of ``config``, refusing keys outside :attr:`KEYS` — a
-        misspelt key would otherwise change the campaign hash, or be
-        ignored, instead of failing where it is given."""
-        unknown = sorted(set(config) - self.KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {self.kind} config keys {unknown}; "
-                f"choose from {sorted(self.KEYS)}"
-            )
-        return dict(config)
+    #: The frozen dataclass whose fields are this kind's config keys.
+    config_type: type
 
     def canonical_config(self, config: dict) -> dict:
         """Validate ``config`` and return its canonical (default-filled)
-        form — the form whose content hash is the campaign identity."""
-        raise NotImplementedError
+        form — the form whose content hash is the campaign identity.
+
+        A key that is no :attr:`config_type` field is refused: a misspelt
+        key would otherwise change the campaign hash, or be ignored,
+        instead of failing where it is given.
+        """
+        keys = sorted(f.name for f in fields(self.config_type))
+        unknown = sorted(set(config) - set(keys))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {self.kind} config keys {unknown}; choose from {keys}"
+            )
+        return asdict(self.config_type(**config))
 
     def expand(self, config: dict) -> list[TaskSpec]:
         raise NotImplementedError
@@ -137,49 +136,28 @@ def _committed(payloads: dict[str, dict], tasks: list[TaskSpec]) -> list[dict]:
 
 
 class MonteCarloAdapter(CampaignAdapter):
-    """``run_monte_carlo`` as a campaign: dies in fixed seed blocks.
-
-    Config keys: ``design`` (a :data:`DESIGNS` name), ``design_kwargs``,
-    ``n_runs``, ``base_seed``, ``bit_period``, ``local_enabled``,
-    ``pattern`` (explicit bit list; default is the paper's stress
-    pattern) and ``block_size`` (dies per task row).  Die ``i`` draws
-    seed ``base_seed + i``, as in ``run_monte_carlo``.
+    """``run_monte_carlo`` as a campaign: dies in fixed seed blocks of
+    ``block_size``.  Die ``i`` draws seed ``base_seed + i``, as in
+    ``run_monte_carlo``.
     """
 
     kind = "monte_carlo"
-    KEYS = frozenset({
-        "design", "design_kwargs", "n_runs", "base_seed", "bit_period",
-        "local_enabled", "pattern", "block_size",
-    })
+    config_type = MonteCarloConfig
 
     def canonical_config(self, config: dict) -> dict:
-        config = self._known(config)
-        design = config.setdefault("design", "robust")
-        if design not in DESIGNS:
-            raise ConfigurationError(
-                f"unknown design {design!r}; choose from {sorted(DESIGNS)}"
-            )
-        config.setdefault("design_kwargs", {})
-        config["n_runs"] = int(config.setdefault("n_runs", 1000))
-        config.setdefault("base_seed", 2013)
-        config.setdefault("bit_period", 1.0 / 4.1e9)
-        config.setdefault("local_enabled", True)
-        pattern = config.setdefault("pattern", None)
-        if pattern is None:
-            config["pattern"] = default_stress_pattern()
-        check_campaign(config["n_runs"], config["bit_period"], config["pattern"])
-        config["pattern"] = [int(b) for b in config["pattern"]]
-        block = int(config.setdefault("block_size", 16))
-        if block < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {block}")
-        config["block_size"] = block
-        # Fail early on an invalid design, not at first task execution.
-        self._design(config)
-        return config
+        canonical = super().canonical_config(config)
+        self._design(canonical)  # bad design_kwargs fail here, not per task
+        return canonical
 
     @staticmethod
     def _design(config: dict):
-        return DESIGNS[config["design"]](**config["design_kwargs"])
+        try:
+            return DESIGNS[config["design"]](**config["design_kwargs"])
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"design_kwargs {config['design_kwargs']!r} do not fit "
+                f"design {config['design']!r}: {exc}"
+            ) from None
 
     def expand(self, config: dict) -> list[TaskSpec]:
         seeds = sequential_seeds(config["base_seed"], config["n_runs"])
@@ -198,11 +176,10 @@ class MonteCarloAdapter(CampaignAdapter):
 
     def run_task(self, config: dict, spec: dict) -> dict:
         design = self._design(config)
-        pattern = tuple(config["pattern"])
         runs = simulate_dies(
-            [int(seed) for seed in spec["seeds"]],
+            spec["seeds"],
             design,
-            pattern,
+            tuple(config["pattern"]),
             config["bit_period"],
             config["local_enabled"],
         )
@@ -253,33 +230,37 @@ GRID_EVALUATORS: dict[str, Callable[[dict], dict]] = {
 }
 
 
+@dataclass(frozen=True)
+class SweepGridConfig:
+    """A parameter-grid sweep: the service's ``sweep_grid`` config.
+
+    ``parameters`` maps each axis name to its values (held as floats);
+    ``evaluator`` names a :data:`GRID_EVALUATORS` callable.  Both are
+    required: their defaults are refused.
+    """
+
+    parameters: dict[str, list[float]] = field(default_factory=dict)
+    evaluator: str = checked("", choices=sorted(GRID_EVALUATORS))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not self.parameters:
+            raise ConfigurationError("parameters must not be empty")
+        object.__setattr__(
+            self,
+            "parameters",
+            {k: [float(v) for v in vs] for k, vs in self.parameters.items()},
+        )
+
+
 class SweepGridAdapter(CampaignAdapter):
     """``analysis.sweep_grid`` as a campaign: one task per grid cell.
-
-    Config keys: ``parameters`` (axis name -> values) and ``evaluator``
-    (a :data:`GRID_EVALUATORS` name).  The merged result is the same
-    :class:`GridResult` ``sweep_grid(parameters, evaluator)`` returns.
+    The merged result is the same :class:`GridResult`
+    ``sweep_grid(parameters, evaluator)`` returns.
     """
 
     kind = "sweep_grid"
-    KEYS = frozenset({"parameters", "evaluator"})
-
-    def canonical_config(self, config: dict) -> dict:
-        config = self._known(config)
-        name = config.get("evaluator")
-        if name not in GRID_EVALUATORS:
-            raise ConfigurationError(
-                f"unknown grid evaluator {name!r}; "
-                f"choose from {sorted(GRID_EVALUATORS)}"
-            )
-        parameters = config.get("parameters")
-        if not isinstance(parameters, dict) or not parameters:
-            raise ConfigurationError("parameters must be a non-empty mapping")
-        config["parameters"] = {
-            str(k): [float(v) for v in vs] for k, vs in parameters.items()
-        }
-        grid_points(config["parameters"])  # validates the axes
-        return config
+    config_type = SweepGridConfig
 
     def expand(self, config: dict) -> list[TaskSpec]:
         points = grid_points(config["parameters"])
@@ -289,9 +270,7 @@ class SweepGridAdapter(CampaignAdapter):
         ]
 
     def run_task(self, config: dict, spec: dict) -> dict:
-        evaluate = GRID_EVALUATORS[config["evaluator"]]
-        point = {k: float(v) for k, v in spec["point"].items()}
-        return {"metrics": evaluate(point)}
+        return {"metrics": GRID_EVALUATORS[config["evaluator"]](spec["point"])}
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> GridResult:
         tasks = self.expand(config)
@@ -323,16 +302,17 @@ class FaultCampaignAdapter(CampaignAdapter):
     """
 
     kind = "fault"
-    KEYS = frozenset(f.name for f in fields(FaultCampaignConfig)) | {"trace_hash"}
+    config_type = FaultCampaignConfig
 
     def canonical_config(self, config: dict) -> dict:
-        cfg = self._config(self._known(config))
-        canonical = asdict(cfg)
-        if cfg.workload == "trace":
+        canonical = super().canonical_config(
+            {k: v for k, v in config.items() if k != "trace_hash"}
+        )
+        if canonical["workload"] == "trace":
             # Campaign identity follows the trace's *content*: an edited
             # trace file under the same path is a different campaign and
             # refuses to attach, exactly like any other config change.
-            canonical["trace_hash"] = trace_file_hash(cfg.trace_path)
+            canonical["trace_hash"] = trace_file_hash(canonical["trace_path"])
         return canonical
 
     @staticmethod
@@ -354,7 +334,7 @@ class FaultCampaignAdapter(CampaignAdapter):
 
     def run_task(self, config: dict, spec: dict) -> dict:
         cfg = self._config(config)
-        point = _evaluate_point((cfg, float(spec["ber"]), str(spec["protocol"])))
+        point = _evaluate_point((cfg, spec["ber"], spec["protocol"]))
         return point_payload(point)
 
     def merge(self, config: dict, payloads: dict[str, dict]) -> FaultCampaignResult:
@@ -379,38 +359,21 @@ class FaultCampaignAdapter(CampaignAdapter):
 class DseBatchAdapter(CampaignAdapter):
     """A fixed batch of DSE candidate evaluations as a campaign.
 
-    Config keys: ``evaluator`` (a :data:`repro.dse.objectives.EVALUATORS`
-    name), ``evaluator_kwargs``, ``candidates`` (a list of param dicts —
-    e.g. one NSGA-II generation) and ``base_seed``.  Task keys and seeds
-    are the engine's own ``candidate_key``/``candidate_seed`` content
-    identities, and the merged result is the list of
-    :class:`~repro.dse.engine.EvalRecord` the engine's own
-    :func:`~repro.dse.engine.eval_record` builds (``generation`` 0,
-    ``index`` the submission position), so service-evaluated candidates
-    are interchangeable with engine-evaluated ones.
+    Task keys and seeds are the engine's own
+    ``candidate_key``/``candidate_seed`` content identities, and the
+    merged result is the list of :class:`~repro.dse.engine.EvalRecord`
+    the engine's own :func:`~repro.dse.engine.eval_record` builds
+    (``generation`` 0, ``index`` the submission position), so
+    service-evaluated candidates are interchangeable with
+    engine-evaluated ones.
     """
 
     kind = "dse_batch"
-    KEYS = frozenset({"evaluator", "evaluator_kwargs", "candidates", "base_seed"})
-
-    def canonical_config(self, config: dict) -> dict:
-        config = self._known(config)
-        config.setdefault("evaluator_kwargs", {})
-        config.setdefault("base_seed", 2013)
-        self._evaluator(config)  # fail early on an unknown evaluator
-        candidates = config.get("candidates")
-        if not isinstance(candidates, list) or not candidates:
-            raise ConfigurationError("candidates must be a non-empty list")
-        config["candidates"] = [
-            {str(k): float(v) for k, v in params.items()} for params in candidates
-        ]
-        return config
+    config_type = DseBatchConfig
 
     @staticmethod
     def _evaluator(config: dict):
-        return make_evaluator(
-            config.get("evaluator", ""), **config["evaluator_kwargs"]
-        )
+        return make_evaluator(config["evaluator"], **config["evaluator_kwargs"])
 
     def expand(self, config: dict) -> list[TaskSpec]:
         evaluator = self._evaluator(config)
@@ -427,9 +390,8 @@ class DseBatchAdapter(CampaignAdapter):
         return tasks
 
     def run_task(self, config: dict, spec: dict) -> dict:
-        params = {str(k): float(v) for k, v in spec["params"].items()}
         metrics, reason = _evaluate_task(
-            (self._evaluator(config), params, int(spec["seed"]))
+            (self._evaluator(config), spec["params"], spec["seed"])
         )
         return {"metrics": {k: float(v) for k, v in metrics.items()},
                 "reason": reason}
@@ -483,6 +445,7 @@ __all__ = [
     "GRID_EVALUATORS",
     "MonteCarloAdapter",
     "SweepGridAdapter",
+    "SweepGridConfig",
     "TaskSpec",
     "get_adapter",
 ]

@@ -168,6 +168,26 @@ class TestPlumbing:
         assert listed.content_hash() == tupled.content_hash()
         assert run_fault_campaign(listed) == run_fault_campaign(tupled)
 
+    def test_service_points_equal_driver_points_for_integer_bers(self):
+        """A JSON config may give a BER as an integer; the service's
+        points carry it as given, as the in-process driver's do."""
+        from repro.service import get_adapter
+
+        adapter = get_adapter("fault")
+        config = adapter.canonical_config(
+            {"k": 2, "warmup": 10, "measure": 20, "bers": [0],
+             "protocols": ["none"]}
+        )
+        payloads = {
+            t.key: json.loads(json.dumps(adapter.run_task(config, t.spec)))
+            for t in adapter.expand(config)
+        }
+        merged = adapter.merge(config, payloads)
+        reference = run_fault_campaign(adapter._config(config))
+        assert json.dumps([asdict(p) for p in merged.points]) == json.dumps(
+            [asdict(p) for p in reference.points]
+        )
+
     def test_tasks_cover_grid(self):
         config = FaultCampaignConfig(bers=(1e-6, 1e-3), protocols=("none", "crc"))
         tasks = config.tasks()

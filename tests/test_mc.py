@@ -108,6 +108,21 @@ def test_run_monte_carlo_validation(robust):
         run_monte_carlo(robust, bit_period=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"pattern": []}, "pattern"),
+        ({"bit_period": float("nan")}, "bit_period"),
+    ],
+)
+def test_run_monte_carlo_refuses_bad_values_at_call(robust, bad, field):
+    """Refused by name before any die runs (1.5 once reached numpy, an
+    empty pattern reported probability 0 and NaN failed every die)."""
+    with pytest.raises(ConfigurationError, match=field):
+        run_monte_carlo(robust, n_runs=2, **bad)
+
+
 # --- yield analysis ---------------------------------------------------------------------
 
 

@@ -155,6 +155,43 @@ def test_expansion_is_deterministic():
     assert adapter.expand(config) == adapter.expand(config)
 
 
+#: (kind, config, the field its refusal names).  These configs once
+#: raised ValueError, TypeError or AttributeError, or were accepted.
+NAMED_REFUSALS = [
+    ("monte_carlo", {"n_runs": "abc"}, "n_runs"),
+    ("monte_carlo", {"n_runs": 4.7}, "n_runs"),
+    ("monte_carlo", {"base_seed": 1.5}, "base_seed"),
+    ("monte_carlo", {"bit_period": "x"}, "bit_period"),
+    ("monte_carlo", {"bit_period": float("nan")}, "bit_period"),
+    ("monte_carlo", {"pattern": []}, "pattern"),
+    ("monte_carlo", {"local_enabled": "no"}, "local_enabled"),
+    ("monte_carlo", {"design_kwargs": [1]}, "design_kwargs"),
+    ("monte_carlo", {"design_kwargs": {"bogus": 1}}, "design_kwargs"),
+    ("monte_carlo", {"block_size": "x"}, "block_size"),
+    ("sweep_grid", {"parameters": {"x": 1.0}, "evaluator": "poly"},
+     "parameters"),
+    ("sweep_grid", {"parameters": {"x": ["a"]}, "evaluator": "poly"},
+     "parameters"),
+    ("sweep_grid", {"parameters": {"x": [float("nan")]}, "evaluator": "poly"},
+     "parameters"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [1]}, "candidates"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [{"a": "x"}]},
+     "candidates"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"zzz": 1}}, "evaluator_kwargs"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": [1]}, "evaluator_kwargs"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
+                   "base_seed": 1.5}, "base_seed"),
+    ("fault", {"k": "4"}, "k must"),
+    ("fault", {"bers": 0.001}, "bers"),
+    ("fault", {"bers": ["x"]}, "bers"),
+    ("fault", {"k": 4.5}, "k must"),
+    ("fault", {"seed": 1.5}, "seed"),
+    ("fault", {"coupling": "no"}, "coupling"),
+]
+
+
 @pytest.mark.parametrize(
     "kind, bad",
     [
@@ -172,10 +209,17 @@ def test_expansion_is_deterministic():
         ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
                        "base_sed": 1}),
         ("fault", {"berz": [0.001]}),
+        *((kind, bad) for kind, bad, _field in NAMED_REFUSALS),
     ],
 )
 def test_invalid_configs_fail_at_submit_time(kind, bad):
     with pytest.raises(ConfigurationError):
+        get_adapter(kind).canonical_config(bad)
+
+
+@pytest.mark.parametrize("kind, bad, field", NAMED_REFUSALS)
+def test_refusal_names_the_field(kind, bad, field):
+    with pytest.raises(ConfigurationError, match=field):
         get_adapter(kind).canonical_config(bad)
 
 
