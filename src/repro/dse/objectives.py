@@ -117,16 +117,19 @@ class Fig8Evaluator:
     no supply charge and looks spectacularly "efficient".
     """
 
-    data_rate: float = 4.1e9
-    activity: float = 0.5
-    mc_runs: int = 40
-    max_error_probability: float = 0.17
-    bit_period: float = 1.0 / 4.1e9
+    data_rate: float = checked(4.1e9, interval="(0, inf)")
+    activity: float = checked(0.5, interval="(0, 1]")
+    mc_runs: int = checked(40, interval="[0, inf)")
+    max_error_probability: float = checked(0.17, interval="[0, 1]")
+    bit_period: float = checked(1.0 / 4.1e9, interval="(0, inf)")
 
     objectives: ClassVar[tuple[Objective, ...]] = (
         Objective("energy_fj_per_bit_per_cm", "min", "fJ/bit/cm"),
         Objective("bandwidth_density_gbps_per_um", "max", "Gb/s/um"),
     )
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def __call__(self, params: dict[str, float], seed: int) -> dict[str, float]:
         tech = tech_45nm_soi()
@@ -172,13 +175,16 @@ class SizingEvaluator:
     a third objective.
     """
 
-    mc_runs: int = 0
-    bit_period: float = 1.0 / 4.1e9
+    mc_runs: int = checked(0, interval="[0, inf)")
+    bit_period: float = checked(1.0 / 4.1e9, interval="(0, inf)")
 
     _base_objectives: ClassVar[tuple[Objective, ...]] = (
         Objective("energy_fj_per_bit_per_mm", "min", "fJ/bit/mm"),
         Objective("min_margin_mv", "max", "mV"),
     )
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def objectives(self) -> tuple[Objective, ...]:
@@ -226,12 +232,15 @@ class Zdt1Evaluator:
     strategy comparisons, where simulation cost would drown the signal.
     """
 
-    dimension: int = 4
+    dimension: int = checked(4, interval="[1, inf)")
 
     objectives: ClassVar[tuple[Objective, ...]] = (
         Objective("f1", "min"),
         Objective("f2", "min"),
     )
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def __call__(self, params: dict[str, float], seed: int) -> dict[str, float]:
         x = [params[f"x{i}"] for i in range(self.dimension)]

@@ -15,10 +15,6 @@ class SimulationError(ReproError):
     """A simulation could not be carried out (not a signaling failure)."""
 
 
-class ConvergenceError(SimulationError):
-    """An iterative solver or calibration failed to converge."""
-
-
 class ExecutionError(ReproError):
     """The parallel runtime could not complete a task (not a physics failure)."""
 
@@ -80,8 +76,3 @@ class CampaignMismatchError(ServiceError):
     :class:`CheckpointError`: identity is the content hash of the
     canonical config, so a byte-identical resubmission is a no-op while
     any change refuses loudly instead of silently mixing task rows."""
-
-
-class LeaseError(ServiceError):
-    """A worker operated on a task row it does not (or no longer does)
-    hold a live lease on."""

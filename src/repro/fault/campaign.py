@@ -582,6 +582,17 @@ def _evaluate_point(
     )
 
 
+def config_identity(config: dict) -> dict:
+    """A campaign's stored identity: ``config`` (``asdict`` of a
+    :class:`FaultCampaignConfig`) plus, for a trace workload, the trace's
+    content hash.  Identity follows the trace's *content*: an edited
+    trace file under the same path is a different campaign, so neither
+    a checkpoint nor a service campaign attaches across the edit."""
+    if config["workload"] != "trace":
+        return config
+    return {**config, "trace_hash": trace_file_hash(config["trace_path"])}
+
+
 def point_key(ber: float, protocol: str) -> str:
     """The checkpoint-record key of one campaign point."""
     return f"{ber!r}/{protocol}"
@@ -671,7 +682,10 @@ def run_fault_campaign(
     config.effective_engine()  # warn (once, in the parent) on a fallback
     tasks = config.tasks()
     executor = driver_executor(executor, n_jobs)
-    store_config = {"kind": "fault-campaign/v3", "config": asdict(config)}
+    store_config = {
+        "kind": "fault-campaign/v3",
+        "config": config_identity(asdict(config)),
+    }
     with checkpoint_store(checkpoint, store_config, resume) as store:
         values = run_checkpointed(
             executor,
@@ -766,6 +780,7 @@ __all__ = [
     "add_config_flags",
     "config_flag",
     "config_flag_values",
+    "config_identity",
     "format_fault_report",
     "point_from_payload",
     "point_key",

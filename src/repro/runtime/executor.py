@@ -37,6 +37,12 @@ with the chunk function ``[fn(x) for x in chunk]``.  An optional
 completed chunk's ``(global indices, results)`` as it lands — the hook
 the crash-safe checkpoint stores (:mod:`repro.runtime.checkpoint`) use
 to persist progress incrementally.
+
+There is one serial loop and one process loop.  The resilience policy
+decides only what a chunk runs: without one, the whole chunk goes to
+the chunk function and the first exception (or a broken pool)
+propagates as raised; with one, each item runs under
+:func:`~repro.runtime.resilience.run_one_resilient`.
 """
 
 from __future__ import annotations
@@ -108,9 +114,9 @@ def _is_picklable(obj: Any) -> bool:
 
 @dataclass
 class _ChunkTask:
-    """One unit of in-flight work on the resilient path."""
+    """One chunk of work for the pool (a singleton once on probation)."""
 
-    indices: tuple[int, ...]  # global item positions
+    indices: range  # global item positions
     attempts: dict[int, int]  # per-item attempts already burned
 
 
@@ -131,8 +137,8 @@ class ParallelExecutor:
     resilience:
         Optional :class:`~repro.runtime.ResilienceConfig` enabling
         timeouts, retries, crash recovery and quarantine.  ``None``
-        (default) is the exact legacy behavior: the first worker
-        exception (or worker death) propagates.
+        (default) runs each chunk whole, and the first worker exception
+        (or worker death) propagates.
     """
 
     n_jobs: int | None = 1
@@ -188,8 +194,8 @@ class ParallelExecutor:
         items: Sequence[Any],
         on_result: ResultHook | None,
     ) -> list[Any]:
-        """The one backend dispatch: the resilient paths run ``fn`` per
-        item, the legacy paths run ``chunk_fn`` per chunk."""
+        """The one backend dispatch: under :attr:`resilience` the loops
+        run ``fn`` per item, without it ``chunk_fn`` per chunk."""
         items = list(items)
         n_jobs = resolve_n_jobs(self.n_jobs)
         use_processes = n_jobs > 1 and len(items) > 1
@@ -214,25 +220,14 @@ class ParallelExecutor:
             fallback_reason=fallback_reason,
         )
         self.last_metrics = metrics
-        if self.resilience is not None:
-            if use_processes:
-                results = self._map_processes_resilient(
-                    fn, items, metrics, n_jobs, on_result
-                )
-            else:
-                results = self._map_serial_resilient(fn, items, metrics, on_result)
-        elif not use_processes:
-            results = self._map_serial(chunk_fn, items, metrics, on_result)
+        if use_processes:
+            results = self._map_processes(
+                fn, chunk_fn, items, metrics, n_jobs, on_result
+            )
         else:
-            results = self._map_processes(chunk_fn, items, metrics, n_jobs, on_result)
+            results = self._map_serial(fn, chunk_fn, items, metrics, on_result)
         metrics.finish()
         return results
-
-    # --- legacy backends --------------------------------------------------------------
-
-    def _chunks(self, items: list[Any], n_jobs: int) -> list[list[Any]]:
-        size = self._chunk_span(len(items), n_jobs)
-        return [items[i : i + size] for i in range(0, len(items), size)]
 
     def _chunk_span(self, n_items: int, n_jobs: int) -> int:
         size = self.chunk_size
@@ -242,106 +237,58 @@ class ParallelExecutor:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
         return size
 
+    def _deliver(
+        self,
+        indices: list[int],
+        block: list[Any],
+        n_failures: int,
+        t0: float | None,
+        metrics: RunMetrics,
+        on_result: ResultHook | None,
+    ) -> None:
+        """Report one landed chunk: ``on_result``, metrics, progress.
+        ``t0`` is when the chunk started (``None``: it took no time)."""
+        if on_result is not None:
+            on_result(indices, block)
+        elapsed = 0.0 if t0 is None else time.perf_counter() - t0
+        metrics.note_chunk(len(indices), elapsed, n_failures=n_failures)
+        if self.progress is not None:
+            self.progress(metrics)
+
     def _map_serial(
         self,
-        chunk_fn: Callable[[list[Any]], list[Any]],
-        items: list[Any],
-        metrics: RunMetrics,
-        on_result: ResultHook | None,
-    ) -> list[Any]:
-        results = []
-        chunks = self._chunks(items, 1) if items else []
-        start = 0
-        for chunk in chunks:
-            t0 = time.perf_counter()
-            block = chunk_fn(chunk)
-            results.extend(block)
-            if on_result is not None:
-                on_result(list(range(start, start + len(chunk))), block)
-            start += len(chunk)
-            metrics.note_chunk(len(chunk), time.perf_counter() - t0)
-            if self.progress is not None:
-                self.progress(metrics)
-        return results
-
-    def _map_processes(
-        self,
-        chunk_fn: Callable[[list[Any]], list[Any]],
-        items: list[Any],
-        metrics: RunMetrics,
-        n_jobs: int,
-        on_result: ResultHook | None,
-    ) -> list[Any]:
-        chunks = self._chunks(items, n_jobs)
-        starts: list[int] = []
-        offset = 0
-        for chunk in chunks:
-            starts.append(offset)
-            offset += len(chunk)
-        results: list[list[Any] | None] = [None] * len(chunks)
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
-            submitted = {}
-            for idx, chunk in enumerate(chunks):
-                future = pool.submit(chunk_fn, chunk)
-                submitted[future] = (idx, len(chunk), time.perf_counter())
-            pending = set(submitted)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    idx, n_tasks, t0 = submitted[future]
-                    results[idx] = future.result()
-                    if on_result is not None:
-                        on_result(
-                            list(range(starts[idx], starts[idx] + n_tasks)),
-                            results[idx],
-                        )
-                    metrics.note_chunk(n_tasks, time.perf_counter() - t0)
-                    if self.progress is not None:
-                        self.progress(metrics)
-        flat: list[Any] = []
-        for block in results:
-            assert block is not None
-            flat.extend(block)
-        return flat
-
-    # --- resilient backends -----------------------------------------------------------
-
-    def _map_serial_resilient(
-        self,
         fn: Callable[[Any], Any],
+        chunk_fn: Callable[[list[Any]], list[Any]],
         items: list[Any],
         metrics: RunMetrics,
         on_result: ResultHook | None,
     ) -> list[Any]:
-        """In-process resilient path: soft timeouts + retries + quarantine.
+        """The in-process loop, chunk by chunk.
 
-        Worker death cannot be survived here (there is no worker), so the
-        watchdog/respawn machinery does not apply; everything else —
+        Without a policy a chunk is one ``chunk_fn`` call and the first
+        exception propagates.  Under one, each item runs under it; worker
+        death cannot be survived here (there is no worker), so the
+        watchdog/respawn machinery does not apply, but everything else —
         including bitwise parity with the process path — does.
         """
         config = self.resilience
-        assert config is not None
         results: list[Any] = []
-        chunks = self._chunks(items, 1) if items else []
-        start = 0
-        for chunk in chunks:
+        size = self._chunk_span(len(items), 1) if items else 1
+        for start in range(0, len(items), size):
+            chunk = items[start : start + size]
             t0 = time.perf_counter()
-            outcomes = [
-                run_one_resilient(fn, start + j, item, config)
-                for j, item in enumerate(chunk)
-            ]
-            block = [self._settle(out, metrics, config) for out in outcomes]
+            if config is None:
+                block, n_failures = chunk_fn(chunk), 0
+            else:
+                outcomes = [
+                    run_one_resilient(fn, start + j, item, config)
+                    for j, item in enumerate(chunk)
+                ]
+                block = [self._settle(out, metrics, config) for out in outcomes]
+                n_failures = sum(1 for out in outcomes if not out.ok)
             results.extend(block)
-            if on_result is not None:
-                on_result(list(range(start, start + len(chunk))), block)
-            start += len(chunk)
-            metrics.note_chunk(
-                len(chunk),
-                time.perf_counter() - t0,
-                n_failures=sum(1 for out in outcomes if not out.ok),
-            )
-            if self.progress is not None:
-                self.progress(metrics)
+            indices = list(range(start, start + len(chunk)))
+            self._deliver(indices, block, n_failures, t0, metrics, on_result)
         return results
 
     def _settle(
@@ -380,23 +327,31 @@ class ParallelExecutor:
             return WorkerCrashError(detail)
         return ExecutionError(detail)
 
-    def _map_processes_resilient(
+    def _map_processes(
         self,
         fn: Callable[[Any], Any],
+        chunk_fn: Callable[[list[Any]], list[Any]],
         items: list[Any],
         metrics: RunMetrics,
         n_jobs: int,
         on_result: ResultHook | None,
     ) -> list[Any]:
+        """The worker-pool loop.
+
+        Without a policy a chunk is one ``chunk_fn`` call in a worker,
+        every chunk is queued in the pool at once, and the first
+        exception — or a broken pool — propagates as raised.  Under one,
+        each item of a chunk runs under it in the worker, and the parent
+        adds crash recovery, probation and the hard-deadline watchdog.
+        """
         config = self.resilience
-        assert config is not None
         n = len(items)
         results: list[Any] = [None] * n
         filled = [False] * n
 
         size = self._chunk_span(n, n_jobs)
         queue: deque[_ChunkTask] = deque(
-            _ChunkTask(tuple(range(i, min(i + size, n))), {})
+            _ChunkTask(range(i, min(i + size, n)), {})
             for i in range(0, n, size)
         )
         #: Singleton tasks suspected of crashing/hanging a worker.  They
@@ -405,30 +360,36 @@ class ParallelExecutor:
         #: budget for a neighbor's crash.
         probation: deque[_ChunkTask] = deque()
         max_workers = min(n_jobs, len(queue))
-        hard = config.hard_limit()
+        hard = config.hard_limit() if config is not None else None
+        # Under a policy at most one chunk per worker is in flight, so a
+        # chunk's hard deadline starts ticking roughly when it starts
+        # running (not while it sits in the pool's internal queue) and a
+        # pool break sends at most ``max_workers`` chunks to probation.
+        cap = max_workers if config is not None else len(queue)
         pool = ProcessPoolExecutor(max_workers=max_workers)
         # future -> (task, submit time, hard deadline or None)
         inflight: dict[Any, tuple[_ChunkTask, float, float | None]] = {}
 
         def submit_one(task: _ChunkTask) -> None:
-            payload = [
-                (i, items[i], task.attempts.get(i, 0)) for i in task.indices
-            ]
-            future = pool.submit(run_chunk_resilient, fn, payload, config)
-            now = time.monotonic()
+            if config is None:
+                span = task.indices
+                future = pool.submit(chunk_fn, items[span.start : span.stop])
+            else:
+                payload = [
+                    (i, items[i], task.attempts.get(i, 0)) for i in task.indices
+                ]
+                future = pool.submit(run_chunk_resilient, fn, payload, config)
+            now = time.perf_counter()
             deadline = now + hard * len(task.indices) if hard is not None else None
             inflight[future] = (task, now, deadline)
 
         def submit_ready() -> None:
-            # Suspects run strictly alone; normal work is capped at the
-            # worker count so a chunk's hard deadline starts ticking
-            # roughly when it starts running, not while it sits in the
-            # pool's internal queue.
+            # Suspects run strictly alone.
             if probation:
                 if not inflight:
                     submit_one(probation.popleft())
                 return
-            while queue and len(inflight) < max_workers:
+            while queue and len(inflight) < cap:
                 submit_one(queue.popleft())
 
         def demote(task: _ChunkTask) -> None:
@@ -437,7 +398,9 @@ class ParallelExecutor:
             task crashes or hangs while running alone."""
             for i in task.indices:
                 if not filled[i]:
-                    probation.append(_ChunkTask((i,), {i: task.attempts.get(i, 0)}))
+                    probation.append(
+                        _ChunkTask(range(i, i + 1), {i: task.attempts.get(i, 0)})
+                    )
 
         def requeue_failed(task: _ChunkTask, kind: str) -> None:
             """A task *definitively* died or hung (it was running alone):
@@ -467,14 +430,10 @@ class ParallelExecutor:
                         raise self._strict_error(failure)
                     results[i] = failure
                     filled[i] = True
-                    if on_result is not None:
-                        on_result([i], [failure])
-                    metrics.note_chunk(1, 0.0, n_failures=1)
-                    if self.progress is not None:
-                        self.progress(metrics)
+                    self._deliver([i], [failure], 1, None, metrics, on_result)
                 else:
                     metrics.note_resilience(retries=1)
-                    probation.append(_ChunkTask((i,), {i: attempts}))
+                    probation.append(_ChunkTask(range(i, i + 1), {i: attempts}))
 
         def respawn_pool() -> None:
             nonlocal pool
@@ -497,33 +456,29 @@ class ParallelExecutor:
                 for future in done:
                     task, t0, _deadline = inflight.pop(future)
                     try:
-                        outcomes = future.result()
+                        out = future.result()
                     except BrokenProcessPool:
+                        if config is None:
+                            raise
                         crashed_tasks.append(task)
                         continue
-                    block = []
-                    n_failures = 0
-                    indices = []
-                    for outcome in outcomes:
-                        value = self._settle(
-                            outcome,
-                            metrics,
-                            config,
-                            prior_attempts=task.attempts.get(outcome.index, 0),
-                        )
-                        results[outcome.index] = value
-                        filled[outcome.index] = True
-                        indices.append(outcome.index)
-                        block.append(value)
-                        if not outcome.ok:
-                            n_failures += 1
-                    if on_result is not None:
-                        on_result(indices, block)
-                    metrics.note_chunk(
-                        len(outcomes), time.perf_counter() - t0, n_failures=n_failures
-                    )
-                    if self.progress is not None:
-                        self.progress(metrics)
+                    if config is None:
+                        block, n_failures = out, 0
+                    else:
+                        block = [
+                            self._settle(
+                                outcome,
+                                metrics,
+                                config,
+                                prior_attempts=task.attempts.get(outcome.index, 0),
+                            )
+                            for outcome in out
+                        ]
+                        n_failures = sum(1 for outcome in out if not outcome.ok)
+                    span = task.indices
+                    results[span.start : span.stop] = block
+                    filled[span.start : span.stop] = [True] * len(span)
+                    self._deliver(list(span), block, n_failures, t0, metrics, on_result)
                 if crashed_tasks:
                     # A dead worker breaks every in-flight future, not
                     # just its own, and nothing says which task killed
@@ -539,7 +494,7 @@ class ParallelExecutor:
                         for task in crashed_tasks:
                             demote(task)
                 elif hard is not None:
-                    now = time.monotonic()
+                    now = time.perf_counter()
                     expired = [
                         future
                         for future, (_, _, deadline) in inflight.items()

@@ -17,9 +17,9 @@ Layers:
   task generators + mergers whose output is bitwise identical to the
   in-process drivers (``run_monte_carlo``, ``sweep_grid``,
   ``run_fault_campaign``, DSE candidate evaluation);
-* :mod:`repro.service.worker` — the lease/execute/commit loop, run
-  through the :class:`repro.runtime.ParallelExecutor` resilience layer,
-  with an optional shared :class:`repro.runtime.ResultCache`;
+* :mod:`repro.service.worker` — the lease/execute/commit loop, each
+  task under the :mod:`repro.runtime.resilience` task policy, with an
+  optional shared :class:`repro.runtime.ResultCache`;
 * :mod:`repro.service.cli` — ``submit | status | results |
   retry-failed`` (``scripts/service.py``; workers start via
   ``scripts/run_worker.py``).

@@ -58,11 +58,11 @@ from repro.fault.campaign import (
     FaultCampaignConfig,
     FaultCampaignResult,
     _evaluate_point,
+    config_identity,
     point_from_payload,
     point_key,
     point_payload,
 )
-from repro.noc.trace import trace_file_hash
 from repro.mc.engine import (
     DESIGNS,
     McResult,
@@ -305,15 +305,11 @@ class FaultCampaignAdapter(CampaignAdapter):
     config_type = FaultCampaignConfig
 
     def canonical_config(self, config: dict) -> dict:
-        canonical = super().canonical_config(
-            {k: v for k, v in config.items() if k != "trace_hash"}
+        return config_identity(
+            super().canonical_config(
+                {k: v for k, v in config.items() if k != "trace_hash"}
+            )
         )
-        if canonical["workload"] == "trace":
-            # Campaign identity follows the trace's *content*: an edited
-            # trace file under the same path is a different campaign and
-            # refuses to attach, exactly like any other config change.
-            canonical["trace_hash"] = trace_file_hash(canonical["trace_path"])
-        return canonical
 
     @staticmethod
     def _config(config: dict) -> FaultCampaignConfig:

@@ -13,9 +13,9 @@ queue.  The loop:
    ``lease_seconds / 3`` while the batch computes, so long tasks never
    expire under a live worker — and a SIGKILLed worker's rows return to
    the queue one lease period later with no cleanup;
-3. each task executes once, in-process, through
-   :class:`repro.runtime.ParallelExecutor` under a
-   :class:`repro.runtime.ResilienceConfig` with the optional soft
+3. each task executes once, in-process, under
+   :func:`repro.runtime.resilience.run_one_resilient` with a
+   :class:`repro.runtime.ResilienceConfig` of the optional soft
    ``timeout`` and no in-process retries: an exception or timeout
    becomes a :class:`~repro.runtime.TaskFailure`;
 4. one transaction commits the batch: :meth:`CampaignDB.complete` per
@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 
 from repro.runtime import (
     MISS,
-    ParallelExecutor,
     ResilienceConfig,
     ResultCache,
     TaskFailure,
     content_key,
 )
+from repro.runtime.resilience import run_one_resilient
 from repro.service.adapters import get_adapter
 from repro.service.db import CampaignDB, LeasedTask, default_worker_id
 
@@ -70,8 +70,10 @@ MAX_BATCH = 16
 
 
 def execute_task(item: tuple[str, dict, dict]) -> dict:
-    """Run one ``(kind, config, spec)`` task row (module-level: picklable,
-    so the executor can ship it to worker sub-processes if asked to)."""
+    """Run one ``(kind, config, spec)`` task row.
+
+    Looked up on the module at every call, so a wrapper installed here
+    (a profiling probe, a test double) sees every task."""
     kind, config, spec = item
     return get_adapter(kind).run_task(config, spec)
 
@@ -168,9 +170,7 @@ def run_worker(
     once per lease, before its row is parked as failed.
     """
     worker_id = worker_id or default_worker_id()
-    executor = ParallelExecutor(
-        resilience=ResilienceConfig(timeout=timeout, max_retries=0)
-    )
+    policy = ResilienceConfig(timeout=timeout, max_retries=0)
     report = WorkerReport(worker_id=worker_id)
     db = CampaignDB(db_path)
     heartbeat = _Heartbeat(db_path, worker_id, lease_seconds)
@@ -198,7 +198,7 @@ def run_worker(
             try:
                 started = time.perf_counter()
                 for task in leased:
-                    finished.append((task, _execute_one(task, executor, cache, report)))
+                    finished.append((task, _execute_one(task, policy, cache, report)))
                 size = batch_size((time.perf_counter() - started) / len(leased))
             finally:
                 # Interrupted or not, what finished is committed; rows
@@ -220,7 +220,7 @@ def run_worker(
 
 def _execute_one(
     task: LeasedTask,
-    executor: ParallelExecutor,
+    policy: ResilienceConfig,
     cache: ResultCache | None,
     report: WorkerReport,
 ) -> dict | TaskFailure:
@@ -231,10 +231,14 @@ def _execute_one(
         if payload is not MISS:
             report.cache_hits += 1
             return payload
-    value = executor.map(execute_task, [(task.kind, task.config, task.spec)])[0]
-    if cache is not None and not isinstance(value, TaskFailure):
-        cache.put(task_cache_key(task), value)
-    return value
+    outcome = run_one_resilient(
+        execute_task, 0, (task.kind, task.config, task.spec), policy
+    )
+    if not outcome.ok:
+        return outcome.failure
+    if cache is not None:
+        cache.put(task_cache_key(task), outcome.value)
+    return outcome.value
 
 
 def _commit(

@@ -27,6 +27,7 @@ from repro.fault import FaultCampaignConfig, run_fault_campaign
 from repro.fault import campaign as fault_campaign
 from repro.mc import engine as mc_engine
 from repro.mc.engine import run_monte_carlo
+from repro.noc import MeshTopology, record_trace
 from repro.runtime import (
     CHECKPOINT_VERSION,
     CheckpointStore,
@@ -34,6 +35,7 @@ from repro.runtime import (
     ResilienceConfig,
     callable_token,
 )
+from repro.workload import build_traffic
 
 N_RUNS = 24
 
@@ -376,6 +378,38 @@ def test_fault_campaign_interrupted_resume_is_bitwise_identical(tmp_path):
     )
     with pytest.raises(CheckpointError, match="different run configuration"):
         run_fault_campaign(changed, checkpoint=path, resume=True)
+
+
+def _record_trace(path: Path, seed: int) -> None:
+    source = build_traffic(
+        MeshTopology(3), "bursty", injection_rate=0.08, seed=seed,
+        payload_mode="random",
+    )
+    record_trace(source, 40).save(path)
+
+
+def test_fault_campaign_resume_refused_across_a_re_recorded_trace(tmp_path):
+    """A trace campaign's checkpoint binds the trace's content, not just
+    its path: re-recording the trace in place makes it another campaign."""
+    trace = tmp_path / "t.trace.json"
+    _record_trace(trace, seed=7)
+    config = FaultCampaignConfig(
+        k=3,
+        workload="trace",
+        trace_path=str(trace),
+        warmup=20,
+        measure=80,
+        bers=(2e-3,),
+        protocols=("none", "crc"),
+        seed=11,
+    )
+    path = tmp_path / "fault.jsonl"
+    run_fault_campaign(config, checkpoint=path)
+    _truncate_to_records(path, 1)  # keep 1 of 2 points
+
+    _record_trace(trace, seed=8)  # same path, other content
+    with pytest.raises(CheckpointError, match="different run configuration"):
+        run_fault_campaign(config, checkpoint=path, resume=True)
 
 
 # --- every driver through the one checkpointed loop -----------------------------------

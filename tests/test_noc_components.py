@@ -1,4 +1,4 @@
-"""NoC building blocks: packets, VCs, credits, arbiters, crossbar."""
+"""NoC building blocks: packets, VCs, credits, crossbar."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.noc import Crossbar, Packet, Port
-from repro.noc.arbiters import Allocator, RoundRobinArbiter
 from repro.noc.packet import FlitType
 from repro.noc.vc import InputPort, OutputPort, VirtualChannel
 
@@ -136,50 +135,6 @@ def test_output_port_credits_and_ownership():
     out.release(0)
     with pytest.raises(ProtocolError):
         out.release(0)
-
-
-# --- arbiters ---------------------------------------------------------------------------
-
-
-def test_round_robin_rotates():
-    arb = RoundRobinArbiter(4)
-    grants = [arb.grant({0, 1, 2, 3}) for _ in range(8)]
-    assert grants == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_round_robin_skips_idle():
-    arb = RoundRobinArbiter(4)
-    assert arb.grant({2}) == 2
-    assert arb.grant({1, 3}) == 3
-    assert arb.grant(set()) is None
-
-
-def test_round_robin_no_starvation():
-    arb = RoundRobinArbiter(3)
-    wins = {0: 0, 1: 0, 2: 0}
-    for _ in range(99):
-        winner = arb.grant({0, 1, 2})
-        wins[winner] += 1
-    assert wins == {0: 33, 1: 33, 2: 33}
-
-
-def test_allocator_one_grant_per_side():
-    alloc = Allocator()
-    grants = alloc.allocate({"a": ["X", "Y"], "b": ["X"], "c": ["Y"]})
-    # Each requester at most one resource; each resource at most one owner.
-    assert len(set(grants.values())) == len(grants)
-    for requester, resource in grants.items():
-        assert resource in {"X", "Y"}
-
-
-def test_allocator_empty_requests():
-    assert Allocator().allocate({}) == {}
-    assert Allocator().allocate({"a": []}) == {}
-
-
-def test_arbiter_validation():
-    with pytest.raises(ConfigurationError):
-        RoundRobinArbiter(0)
 
 
 # --- crossbar ----------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.mc import run_monte_carlo
 from repro.runtime import (
     MISS,
     ParallelExecutor,
+    ResilienceConfig,
     ResultCache,
     SerialFallbackWarning,
     content_key,
@@ -71,6 +72,22 @@ def test_map_chunks_hands_each_chunk_to_the_function_whole():
         lambda chunk: calls.append(list(chunk)) or chunk, items
     )
     assert calls == [items[:10], items[10:20], items[20:]]
+
+
+def _chunk_lengths(chunk):
+    return [len(chunk)] * len(chunk)
+
+
+def test_process_chunks_are_whole_without_a_policy_and_single_under_one():
+    items = list(range(7))
+    plain = ParallelExecutor(n_jobs=2, chunk_size=3)
+    assert plain.map_chunks(_chunk_lengths, items) == [3, 3, 3, 3, 3, 3, 1]
+    assert plain.last_metrics.backend == "process"
+    resilient = ParallelExecutor(
+        n_jobs=2, chunk_size=3, resilience=ResilienceConfig()
+    )
+    assert resilient.map_chunks(_chunk_lengths, items) == [1] * 7
+    assert resilient.last_metrics.backend == "process"
 
 
 def test_executor_serial_path_is_plain_loop():

@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -140,9 +141,10 @@ def test_retried_run_bitwise_identical_to_clean(tmp_path, n_jobs):
 
 
 def test_without_resilience_first_error_still_propagates():
-    """resilience=None is the exact legacy contract."""
-    with pytest.raises(ValueError, match="poison"):
-        ParallelExecutor(n_jobs=1).map(_boom, ITEMS)
+    """resilience=None is the exact legacy contract, in both loops."""
+    for n_jobs in (1, 2):
+        with pytest.raises(ValueError, match="poison"):
+            ParallelExecutor(n_jobs=n_jobs).map(_boom, ITEMS)
 
 
 # --- quarantine ------------------------------------------------------------------------
@@ -222,6 +224,13 @@ def test_worker_death_respawns_pool_and_quarantines_poison():
     assert [v for i, v in enumerate(out) if i != POISON] == [
         x * 2 for x in ITEMS if x != POISON
     ]
+
+
+def test_without_resilience_worker_death_propagates():
+    executor = ParallelExecutor(n_jobs=2, chunk_size=2)
+    with pytest.raises(BrokenProcessPool):
+        executor.map(_suicidal, ITEMS)
+    assert executor.pool_respawns == 0
 
 
 def test_sigalrm_immune_hang_caught_by_watchdog():

@@ -189,6 +189,21 @@ NAMED_REFUSALS = [
     ("fault", {"k": 4.5}, "k must"),
     ("fault", {"seed": 1.5}, "seed"),
     ("fault", {"coupling": "no"}, "coupling"),
+    ("dse_batch", {"evaluator": "sizing", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"mc_runs": "x"}}, "mc_runs"),
+    ("dse_batch", {"evaluator": "sizing", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"mc_runs": -3}}, "mc_runs"),
+    ("dse_batch", {"evaluator": "sizing", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"bit_period": 0.0}}, "bit_period"),
+    ("dse_batch", {"evaluator": "zdt1", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"dimension": 0}}, "dimension"),
+    ("dse_batch", {"evaluator": "fig8", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"max_error_probability": 7.0}},
+     "max_error_probability"),
+    ("dse_batch", {"evaluator": "fig8", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"activity": 0.0}}, "activity"),
+    ("dse_batch", {"evaluator": "fig8", "candidates": [{"x0": 0.1}],
+                   "evaluator_kwargs": {"data_rate": -1.0}}, "data_rate"),
 ]
 
 
