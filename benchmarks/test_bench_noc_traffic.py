@@ -192,7 +192,7 @@ def test_bench_topology_family(benchmark, save_report):
 
 
 def _measure_trace_replay(k, rate, record_cycles, seed, warm, cycles):
-    from repro.noc import MeshTopology, TraceTraffic, record_trace
+    from repro.noc import MeshTopology, record_trace
     from repro.workload import build_traffic
 
     topology = MeshTopology(k)
@@ -203,11 +203,9 @@ def _measure_trace_replay(k, rate, record_cycles, seed, warm, cycles):
     trace = record_trace(source, record_cycles)
     rows = {}
     for engine in ("reference", "fast"):
-        traffic = TraceTraffic(
-            topology=topology, entries=trace.entries,
-            flit_bits=trace.flit_bits,
+        sim = NocSimulator(
+            topology, traffic=trace.replay(), seed=seed, engine=engine
         )
-        sim = NocSimulator(topology, traffic=traffic, seed=seed, engine=engine)
         sim.stats.measure_start, sim.stats.measure_end = 0, 10**9
         for _ in range(warm):
             sim.step()

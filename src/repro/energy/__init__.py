@@ -34,7 +34,6 @@ from repro.energy.scaling import VddPoint, sweep_vdd
 from repro.energy.wire_energy import (
     DensityPoint,
     energy_vs_density,
-    full_swing_energy_per_bit,
     low_swing_energy_per_bit,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "datapath_share",
     "default_router_config",
     "energy_vs_density",
-    "full_swing_energy_per_bit",
     "full_swing_link_energy",
     "kim2010",
     "low_swing_energy_per_bit",

@@ -33,7 +33,9 @@ def low_swing_energy_per_bit(
     ``activity`` is events per bit (0.5 for pulse-per-one signaling on
     random data); ``miller_factor`` scales the coupling component for the
     aggressor activity assumed (1.0: quiet or same-phase neighbors on
-    average; 2.0: worst-case opposing transitions).
+    average; 2.0: worst-case opposing transitions).  ``vswing=vdd``
+    prices the bare wire at full swing; the repeated full-swing wire the
+    router and link models use is :func:`repro.wire.full_swing_energy_per_bit`.
     """
     if not 0.0 <= activity <= 1.0:
         raise ConfigurationError(f"activity must lie in [0, 1], got {activity}")
@@ -50,19 +52,6 @@ def low_swing_energy_per_bit(
     )
     c_eff = c_ground + miller_factor * c_coupling
     return activity * c_eff * vswing * vdd
-
-
-def full_swing_energy_per_bit(
-    segment: WireSegment,
-    vdd: float | None = None,
-    activity: float = 0.5,
-    miller_factor: float = 1.0,
-) -> float:
-    """Supply energy per bit of a conventional full-swing wire, joules."""
-    vdd = segment.tech.vdd if vdd is None else vdd
-    return low_swing_energy_per_bit(
-        segment, vswing=vdd, vdd=vdd, activity=activity, miller_factor=miller_factor
-    )
 
 
 @dataclass(frozen=True)
@@ -122,6 +111,5 @@ def energy_vs_density(
 __all__ = [
     "DensityPoint",
     "energy_vs_density",
-    "full_swing_energy_per_bit",
     "low_swing_energy_per_bit",
 ]

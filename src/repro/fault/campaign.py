@@ -38,6 +38,7 @@ from repro.fault.injector import FaultLayer
 from repro.fault.models import UniformBer
 from repro.fault.protection import PROTOCOLS, ProtectionConfig
 from repro.mc.ber import ber_upper_bound_many
+from repro.noc import trace as noc_trace
 from repro.noc.simulator import (
     ENGINES,
     EngineFallbackWarning,
@@ -45,16 +46,14 @@ from repro.noc.simulator import (
     engine_for_traffic,
 )
 from repro.noc.topology import TOPOLOGY_KINDS, Topology, build_topology
-from repro.noc.trace import topology_spec, trace_file_hash
-from repro.noc.traffic import PATTERNS
-from repro.workload import (
-    COLLECTIVES,
-    PAYLOAD_MODES,
-    WORKLOADS,
-    TrafficTape,
-    build_traffic,
-    load_trace_cached,
+from repro.noc.trace import (
+    TraceTraffic,
+    cached_trace,
+    topology_spec,
+    trace_file_hash,
 )
+from repro.noc.traffic import PATTERNS
+from repro.workload import COLLECTIVES, PAYLOAD_MODES, WORKLOADS, build_traffic
 from repro.runtime import (
     TaskFailure,
     checkpoint_store,
@@ -229,7 +228,7 @@ class FaultCampaignConfig:
                     "trace replay defines its own packet stream; generator "
                     f"knobs do not apply: {', '.join(offending)}"
                 )
-            trace = load_trace_cached(self.trace_path)
+            trace = cached_trace(self.trace_path)
             if trace.topology != topo:
                 raise WorkloadConfigError(
                     f"trace {self.trace_path} was recorded on "
@@ -289,7 +288,7 @@ class FaultCampaignConfig:
         if self.workload == "collective":
             return self.collective_fraction
         if self.workload == "trace":
-            return load_trace_cached(self.trace_path).multicast_fraction
+            return cached_trace(self.trace_path).multicast_fraction
         return 0.0
 
     def effective_engine(self, warn: bool = True) -> str:
@@ -451,21 +450,25 @@ def _build_campaign_traffic(config: FaultCampaignConfig, topology: Topology):
 
 #: Campaigns whose recorded packet stream is kept, most recent last.
 _TAPE_MEMO_SIZE = 4
-_tapes: dict[FaultCampaignConfig, TrafficTape] = {}
+_tapes: dict[FaultCampaignConfig, TraceTraffic] = {}
 
 
-def _campaign_tape(config: FaultCampaignConfig) -> TrafficTape:
-    """The campaign's packet stream, generated once per process.
+def _campaign_tape(config: FaultCampaignConfig) -> TraceTraffic:
+    """The campaign's packet stream, recorded once per process.
 
     Every point of a campaign shares its config, so the serial map, each
     worker process and the service adapter all record the stream once
     and replay it at every (BER, protocol) point.  Keyed by the whole
     frozen config: campaigns that differ in any field (seed included)
-    never share a tape.
+    never share a recording.  A trace workload's stream is the trace
+    file's cached parse, which an edited file invalidates.
     """
+    if config.workload == "trace":
+        return cached_trace(config.trace_path)
     tape = _tapes.pop(config, None)
     if tape is None:
-        tape = TrafficTape(
+        # Through the module, so a probe on noc.trace.record_trace sees it.
+        tape = noc_trace.record_trace(
             _build_campaign_traffic(config, config.build_topology()),
             config.warmup + config.measure,
         )
@@ -482,11 +485,7 @@ def _evaluate_point(
     config, ber, protocol = task
     topology = config.build_topology()
     sim_seed = _traffic_seed(config)
-    if config.workload == "trace":
-        # Trace replay already shares one parsed recording.
-        traffic = _build_campaign_traffic(config, topology)
-    else:
-        traffic = _campaign_tape(config).replay()
+    traffic = _campaign_tape(config).replay()
     # warn=False: the campaign driver already warned once in the parent;
     # worker processes would emit invisible duplicates.
     sim = NocSimulator(

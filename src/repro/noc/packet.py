@@ -26,6 +26,38 @@ class FlitType(Enum):
     SINGLE = "single"  # head and tail in one flit
 
 
+def check_packet(
+    src: NodeId,
+    dests: frozenset[NodeId],
+    size_flits: int,
+    routing: str = "xy",
+    payload: tuple[int, ...] = (),
+) -> None:
+    """Refuse a packet the simulator cannot carry (:class:`Packet`'s rules)."""
+    if routing not in ("xy", "yx"):
+        raise ConfigurationError(f"routing must be 'xy' or 'yx', got {routing!r}")
+    if payload:
+        if len(payload) != size_flits:
+            raise ConfigurationError(
+                f"packet carries {len(payload)} payload words for "
+                f"{size_flits} flits"
+            )
+        if any(w < 0 for w in payload):
+            raise ConfigurationError("payload words must be non-negative")
+    if routing == "yx" and len(dests) > 1:
+        raise ConfigurationError("multicast packets must route 'xy'")
+    if not dests:
+        raise ConfigurationError("packet needs at least one destination")
+    if size_flits < 1:
+        raise ConfigurationError(f"size_flits must be >= 1, got {size_flits}")
+    if src in dests:
+        raise ConfigurationError("packet destination equals its source")
+    if len(dests) > 1 and size_flits != 1:
+        raise ConfigurationError(
+            "multicast packets must be single-flit (see module docstring)"
+        )
+
+
 @dataclass
 class Packet:
     """One network packet, possibly multicast.
@@ -51,32 +83,9 @@ class Packet:
     payload: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.routing not in ("xy", "yx"):
-            raise ConfigurationError(
-                f"routing must be 'xy' or 'yx', got {self.routing!r}"
-            )
-        if self.payload:
-            if len(self.payload) != self.size_flits:
-                raise ConfigurationError(
-                    f"payload carries {len(self.payload)} words for "
-                    f"{self.size_flits} flits"
-                )
-            if any(w < 0 for w in self.payload):
-                raise ConfigurationError("payload words must be non-negative")
-        if self.routing == "yx" and len(self.dests) > 1:
-            raise ConfigurationError("multicast packets must route 'xy'")
-        if not self.dests:
-            raise ConfigurationError("packet needs at least one destination")
-        if self.size_flits < 1:
-            raise ConfigurationError(
-                f"size_flits must be >= 1, got {self.size_flits}"
-            )
-        if self.src in self.dests:
-            raise ConfigurationError("packet destination equals its source")
-        if self.is_multicast and self.size_flits != 1:
-            raise ConfigurationError(
-                "multicast packets must be single-flit (see module docstring)"
-            )
+        check_packet(
+            self.src, self.dests, self.size_flits, self.routing, self.payload
+        )
 
     @property
     def is_multicast(self) -> bool:
@@ -186,4 +195,6 @@ class Flit:
         )
 
 
-__all__ = ["Flit", "FlitType", "Packet", "single_flit", "unicast_packet"]
+__all__ = [
+    "Flit", "FlitType", "Packet", "check_packet", "single_flit", "unicast_packet"
+]

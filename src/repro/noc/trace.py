@@ -6,6 +6,9 @@ generator, an external simulator dump, or built by hand) and replayed
 deterministically against different router/datapath configurations — the
 methodology used for the SRLR-vs-full-swing and taps-vs-no-taps
 comparisons, where both sides must see *identical* traffic.
+:class:`TraceTraffic` is the one recorded-stream source: the fault
+campaign records each campaign's generated stream with
+:func:`record_trace` once per process and replays it at every point.
 
 Two interchangeable on-disk forms:
 
@@ -28,20 +31,23 @@ Two interchangeable on-disk forms:
 Traces are content-addressed: :meth:`TraceTraffic.content_hash` is a
 stable digest of the topology spec and every entry (payload included),
 and :func:`trace_file_hash` maps a trace *file* to that same logical
-digest (cached on (size, mtime)), so a trace slots into the campaign
-service and ResultCache exactly like any other config — two copies of
-the same trace hash identically regardless of path or format.
+digest, so a trace slots into the campaign service and ResultCache
+exactly like any other config — two copies of the same trace hash
+identically regardless of path or format.  :func:`cached_trace` parses
+and validates each version of a trace file once per process; the hash
+and every replay of the file read that one parse.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from repro.errors import ConfigurationError
-from repro.noc.packet import Packet
+from repro.errors import ConfigurationError, WorkloadConfigError
+from repro.noc.packet import Packet, check_packet, unicast_packet
 from repro.noc.topology import NodeId, Topology, build_topology
 from repro.runtime.cache import content_key
 
@@ -83,15 +89,6 @@ class TraceEntry:
     size_flits: int
     #: Per-flit payload words (empty = payload not recorded).
     payload: tuple[int, ...] = ()
-
-    def to_packet(self) -> Packet:
-        return Packet(
-            src=self.src,
-            dests=frozenset(self.dests),
-            size_flits=self.size_flits,
-            inject_cycle=self.cycle,
-            payload=self.payload,
-        )
 
 
 def format_trace_line(entry: TraceEntry) -> str:
@@ -177,15 +174,19 @@ def iter_trace_text(path: str | Path) -> Iterator[dict | TraceEntry]:
 
 @dataclass
 class TraceTraffic:
-    """A replayable packet trace, API-compatible with SyntheticTraffic.
+    """A recorded packet stream, replayable as a traffic source.
 
-    Works over the full :class:`~repro.noc.topology.Topology` family —
-    the trace stores a topology *spec*, and replay validates every node
-    against whatever family member it was recorded on.  Replay drains
-    through the explicit protocol (:meth:`begin_drain`/:meth:`end_drain`)
-    shared with ``SyntheticTraffic`` instead of the old
-    ``injection_rate = 1.0`` compatibility hack.  A draining trace
-    returns no packets and draws nothing (``silent_drain``).
+    API-compatible with ``SyntheticTraffic`` and works over the full
+    :class:`~repro.noc.topology.Topology` family: the trace stores a
+    topology *spec*.  Construction checks every entry against the
+    topology and against :class:`~repro.noc.packet.Packet`'s rules, so a
+    trace that loads also replays.  The recording (``entries`` and the
+    per-cycle index built from them) is immutable; each :meth:`replay`
+    is a fresh source over it with its own drain state.  Replay builds
+    new packets lazily, cycle by cycle, so their ids interleave with
+    packets the simulation makes itself (end-to-end retries) exactly as
+    under live generation.  A draining trace returns no packets and
+    draws nothing (``silent_drain``).
     """
 
     silent_drain = True
@@ -195,49 +196,89 @@ class TraceTraffic:
     #: Payload word width in bits; bounds every recorded payload word
     #: and sizes the data-dependent transition counting on the links.
     flit_bits: int = field(default=64)
+    #: Recorded from a ``payload_mode="worst_case"`` source: no words
+    #: are stored, and every link drives the complement of its previous
+    #: word at each traversal.  Neither file format carries the mode.
+    worst_case: bool = False
+    #: The recorded packets' own destination sets, one per entry
+    #: (default: ``frozenset(entry.dests)``).  Replayed packets reuse
+    #: them, so multicast destinations iterate in the order live
+    #: generation produced; a set rebuilt from the sorted ``dests``
+    #: tuple may iterate differently.
+    dest_sets: InitVar[Sequence[frozenset[NodeId]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, dest_sets) -> None:
         if self.flit_bits < 1:
             raise ConfigurationError(
                 f"flit_bits must be >= 1, got {self.flit_bits}"
             )
+        if dest_sets is None:
+            dest_sets = [frozenset(e.dests) for e in self.entries]
+        elif len(dest_sets) != len(self.entries) or any(
+            s != frozenset(e.dests) for s, e in zip(dest_sets, self.entries)
+        ):
+            raise ConfigurationError(
+                "dest_sets must hold each entry's destination set"
+            )
         limit = 1 << self.flit_bits
         self._draining = False
+        self._content_hash: str | None = None
         self._has_payload = False
         self._n_multicast = 0
-        self._by_cycle: dict[int, list[TraceEntry]] = {}
-        for entry in self.entries:
+        #: cycle -> (src, dests, size_flits, payload, is unicast) rows.
+        self._cycles: dict[int, list[tuple]] = {}
+        for entry, dests in zip(self.entries, dest_sets):
             if entry.cycle < 0:
                 raise ConfigurationError(f"negative cycle in trace: {entry}")
-            for node in (entry.src, *entry.dests):
+            try:
+                check_packet(entry.src, dests, entry.size_flits,
+                             payload=entry.payload)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"trace entry at cycle {entry.cycle}: {exc}"
+                ) from exc
+            for node in (entry.src, *dests):
                 if not self.topology.contains(node):
                     raise ConfigurationError(
                         f"trace node {node} outside the "
                         f"{self.topology.kind} topology"
                     )
-            if entry.payload:
-                if len(entry.payload) != entry.size_flits:
-                    raise ConfigurationError(
-                        f"entry at cycle {entry.cycle} carries "
-                        f"{len(entry.payload)} payload words for "
-                        f"{entry.size_flits} flits"
-                    )
-                if any(not 0 <= w < limit for w in entry.payload):
-                    raise ConfigurationError(
-                        f"payload word wider than flit_bits={self.flit_bits} "
-                        f"at cycle {entry.cycle}"
-                    )
-                self._has_payload = True
-            if len(entry.dests) > 1:
-                self._n_multicast += 1
-            self._by_cycle.setdefault(entry.cycle, []).append(entry)
+            if any(w >= limit for w in entry.payload):
+                raise ConfigurationError(
+                    f"payload word wider than flit_bits={self.flit_bits} "
+                    f"at cycle {entry.cycle}"
+                )
+            self._has_payload = self._has_payload or bool(entry.payload)
+            self._n_multicast += len(dests) > 1
+            self._cycles.setdefault(entry.cycle, []).append(
+                (entry.src, dests, entry.size_flits, entry.payload,
+                 len(dests) == 1)
+            )
+        if self.worst_case and self._has_payload:
+            raise ConfigurationError(
+                "a worst_case recording carries no payload words"
+            )
+
+    def replay(self) -> "TraceTraffic":
+        """A fresh source over the same recording (own drain state)."""
+        fresh = copy.copy(self)
+        fresh._draining = False
+        return fresh
 
     # --- traffic-source protocol -------------------------------------------------------
 
     def packets_for_cycle(self, cycle: int) -> list[Packet]:
         if self._draining:
             return []
-        return [e.to_packet() for e in self._by_cycle.get(cycle, [])]
+        # Entries were checked against Packet's rules when the trace was
+        # built, so unicasts take the unvalidated constructor.
+        return [
+            unicast_packet(src, dests, size_flits, cycle, payload)
+            if unicast
+            else Packet(src, dests, size_flits, cycle, payload=payload)
+            for src, dests, size_flits, payload, unicast
+            in self._cycles.get(cycle, ())
+        ]
 
     @property
     def draining(self) -> bool:
@@ -267,7 +308,10 @@ class TraceTraffic:
 
     @property
     def payload_mode(self) -> str:
-        """``"trace"`` when payload bits were recorded, else constant."""
+        """``"worst_case"`` for a worst-case recording, ``"trace"`` when
+        payload words were recorded, else ``"constant"``."""
+        if self.worst_case:
+            return "worst_case"
         return "trace" if self._has_payload else "constant"
 
     @property
@@ -289,19 +333,33 @@ class TraceTraffic:
 
         Format-independent: a trace saved as JSON and re-saved as text
         hashes identically, so campaign identity follows the workload's
-        *content*, not its file encoding or path.
+        *content*, not its file encoding or path.  Computed once per
+        recording (the recording is immutable).
         """
-        return content_key(
-            "noc-trace/v1",
-            topology_spec(self.topology),
-            self.flit_bits,
-            tuple(self.entries),
-        )
+        if self._content_hash is None:
+            parts = (
+                "noc-trace/v1",
+                topology_spec(self.topology),
+                self.flit_bits,
+                tuple(self.entries),
+            )
+            if self.worst_case:
+                parts += ("worst_case",)
+            self._content_hash = content_key(*parts)
+        return self._content_hash
 
     # --- persistence -------------------------------------------------------------------
 
+    def _check_saveable(self) -> None:
+        if self.worst_case:
+            raise ConfigurationError(
+                "cannot save a payload_mode='worst_case' recording: "
+                "neither trace file format carries the mode"
+            )
+
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON (portable, diffable)."""
+        self._check_saveable()
         payload = {
             "format": "noc-trace/v1",
             "topology": topology_spec(self.topology),
@@ -349,6 +407,7 @@ class TraceTraffic:
 
     def save_text(self, path: str | Path) -> None:
         """Write the gem5/Netrace-style line format."""
+        self._check_saveable()
         spec = topology_spec(self.topology)
         kind = spec.pop("kind")
         k = spec.pop("k")
@@ -385,29 +444,42 @@ class TraceTraffic:
         return cls.load_text(path, flit_bits=flit_bits)
 
 
-#: (resolved path, size, mtime_ns) -> logical content hash.
-_file_hash_cache: dict[tuple[str, int, int], str] = {}
+#: resolved path -> ((size, mtime_ns), parsed trace): the one trace-file
+#: cache.  An edited file misses and is parsed again.
+_trace_files: dict[str, tuple[tuple[int, int], TraceTraffic]] = {}
 
 
-def trace_file_hash(path: str | Path) -> str:
-    """The logical content hash of a trace file (either format).
+def cached_trace(path: str | Path) -> TraceTraffic:
+    """The trace in file ``path`` (either format), parsed once.
 
-    Parses the file and hashes the *trace*, not the bytes, so the JSON
-    and text encodings of the same workload — and copies at different
-    paths — share one identity.  Cached on (path, size, mtime) so
-    campaign-config hashing stays cheap.
+    Cached on (resolved path, size, mtime_ns), so every campaign point,
+    config hash and workload build of one trace file version shares one
+    parse and one validation.  The recording is shared: drive a
+    :meth:`~TraceTraffic.replay` of it, never the recording itself.
     """
     p = Path(path)
     try:
         stat = p.stat()
     except OSError as exc:
-        raise ConfigurationError(f"trace file unreadable: {p} ({exc})") from exc
-    key = (str(p.resolve()), stat.st_size, stat.st_mtime_ns)
-    cached = _file_hash_cache.get(key)
-    if cached is None:
-        cached = TraceTraffic.load_any(p).content_hash()
-        _file_hash_cache[key] = cached
-    return cached
+        raise WorkloadConfigError(
+            f"trace file unreadable: {p} ({exc})"
+        ) from exc
+    key = str(p.resolve())
+    stamp = (stat.st_size, stat.st_mtime_ns)
+    cached = _trace_files.get(key)
+    if cached is None or cached[0] != stamp:
+        cached = _trace_files[key] = (stamp, TraceTraffic.load_any(p))
+    return cached[1]
+
+
+def trace_file_hash(path: str | Path) -> str:
+    """The logical content hash of a trace file (either format).
+
+    Hashes the parsed *trace*, not the bytes, so the JSON and text
+    encodings of the same workload — and copies at different paths —
+    share one identity.  Reads the :func:`cached_trace` parse.
+    """
+    return cached_trace(path).content_hash()
 
 
 def record_trace(generator, n_cycles: int) -> TraceTraffic:
@@ -416,11 +488,17 @@ def record_trace(generator, n_cycles: int) -> TraceTraffic:
     Works with ``SyntheticTraffic`` and the :mod:`repro.workload`
     generators alike — anything with ``topology`` and
     ``packets_for_cycle``.  Payload words attached by the generator are
-    captured per entry.
+    captured per entry, a worst-case payload source records as
+    ``worst_case``, and each packet's own destination set is kept for
+    replay.  Replay equals live generation whenever the run stops
+    generating at ``n_cycles``: an open-loop source's stream does not
+    depend on the network, and a drained source runs at rate 0, so its
+    later draws never make a packet.
     """
     if n_cycles < 1:
         raise ConfigurationError(f"n_cycles must be >= 1, got {n_cycles}")
     entries: list[TraceEntry] = []
+    dest_sets: list[frozenset[NodeId]] = []
     for cycle in range(n_cycles):
         for packet in generator.packets_for_cycle(cycle):
             entries.append(
@@ -432,16 +510,20 @@ def record_trace(generator, n_cycles: int) -> TraceTraffic:
                     payload=packet.payload,
                 )
             )
+            dest_sets.append(packet.dests)
     return TraceTraffic(
         topology=generator.topology,
         entries=entries,
         flit_bits=getattr(generator, "payload_bits", 64),
+        worst_case=getattr(generator, "payload_mode", None) == "worst_case",
+        dest_sets=dest_sets,
     )
 
 
 __all__ = [
     "TraceEntry",
     "TraceTraffic",
+    "cached_trace",
     "format_trace_line",
     "iter_trace_text",
     "parse_trace_line",

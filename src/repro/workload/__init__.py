@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.errors import WorkloadConfigError
 from repro.noc.topology import Topology
-from repro.noc.trace import TraceTraffic, topology_spec
+from repro.noc.trace import cached_trace, topology_spec
 from repro.noc.traffic import SyntheticTraffic
 from repro.workload.energy import (
     coupling_miller_fraction,
@@ -41,46 +41,12 @@ from repro.workload.generators import (
 from repro.workload.payload import (
     PAYLOAD_MODES,
     PayloadedTraffic,
-    TrafficTape,
     attach_payloads,
 )
 
 #: Workload families accepted by :func:`build_traffic` and the campaign
 #: config.
 WORKLOADS = ("synthetic", "bursty", "collective", "trace")
-
-#: (resolved path, size, mtime_ns) -> parsed trace.  Replay state lives
-#: on the TraceTraffic instance, so the cache stores one parsed master
-#: and hands out fresh instances built from its (immutable) entries.
-_trace_cache: dict[tuple[str, int, int], TraceTraffic] = {}
-
-
-def load_trace_cached(path: str | Path) -> TraceTraffic:
-    """Load a trace file with parse-once caching.
-
-    Campaign workers build one traffic source per evaluated point;
-    caching on (path, size, mtime) makes the Nth replay of a
-    multi-megabyte trace cost one validation pass instead of a parse.
-    Each call returns a *fresh* :class:`TraceTraffic` (drain state is
-    per-instance), sharing the cached immutable entry list.
-    """
-    p = Path(path)
-    try:
-        stat = p.stat()
-    except OSError as exc:
-        raise WorkloadConfigError(
-            f"trace file unreadable: {p} ({exc})"
-        ) from exc
-    key = (str(p.resolve()), stat.st_size, stat.st_mtime_ns)
-    master = _trace_cache.get(key)
-    if master is None:
-        master = _trace_cache[key] = TraceTraffic.load_any(p)
-    return TraceTraffic(
-        topology=master.topology,
-        entries=master.entries,
-        flit_bits=master.flit_bits,
-    )
-
 
 def build_traffic(
     topology: Topology | None,
@@ -106,7 +72,9 @@ def build_traffic(
     the DSE workload axis.  ``topology`` may be None only for
     ``workload="trace"`` (the trace carries its own); when given with a
     trace it must match the recorded topology — campaign configs name
-    both, and a silent mismatch would replay nonsense.
+    both, and a silent mismatch would replay nonsense.  A trace workload
+    is a fresh replay of the file's one cached parse
+    (:func:`~repro.noc.trace.cached_trace`).
     """
     if workload not in WORKLOADS:
         raise WorkloadConfigError(
@@ -115,7 +83,7 @@ def build_traffic(
     if workload == "trace":
         if trace_path is None:
             raise WorkloadConfigError("workload='trace' needs a trace_path")
-        traffic = load_trace_cached(trace_path)
+        traffic = cached_trace(trace_path).replay()
         if topology is not None and topology != traffic.topology:
             raise WorkloadConfigError(
                 f"trace {trace_path} was recorded on "
@@ -177,11 +145,9 @@ __all__ = [
     "BurstyTraffic",
     "CollectiveTraffic",
     "PayloadedTraffic",
-    "TrafficTape",
     "attach_payloads",
     "build_traffic",
     "coupling_miller_fraction",
     "link_payload_energy",
-    "load_trace_cached",
     "payload_datapath_energy",
 ]

@@ -17,18 +17,17 @@ data-dependent link energy model prices.  Two modes:
   coupling events.  This is the case that must price exactly to the
   constant model, which the reduction regression test pins down.
 
-:class:`TrafficTape` records a source's stream (payload words included)
-once, so runs that share it replay it instead of regenerating it.
+:func:`repro.noc.trace.record_trace` records a payloaded source's
+stream (payload words included, or the worst-case mode) once, so runs
+that share it replay it instead of regenerating it.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.noc.packet import Packet, unicast_packet
+from repro.noc.packet import Packet
 from repro.runtime.seeds import derived_seed
 
 #: Payload modes a traffic source can advertise.
@@ -135,91 +134,9 @@ class PayloadedTraffic:
         return packets
 
 
-class TrafficTape:
-    """A traffic source's packet stream, recorded once for replay.
-
-    Records ``source.packets_for_cycle(c)`` for ``c < n_cycles`` as
-    ``(src, dests, size_flits, routing, payload)`` per packet, in
-    generation order, and carries over the source's ``topology``,
-    ``payload_mode``, ``payload_bits`` and ``multicast_fraction``.
-    Replay builds fresh :class:`Packet` objects lazily, cycle by cycle,
-    so new packet ids interleave with any packets the simulation makes
-    itself (end-to-end retries) exactly as under live generation.
-
-    Replay equals live generation whenever the run stops generating at
-    ``n_cycles``: an open-loop source's stream does not depend on the
-    network, and a drained source runs at rate 0, so its later draws
-    never make a packet.  The tape returns ``[]`` while draining and
-    past its last recorded cycle, and draws nothing (``silent_drain``).
-    The recording is immutable; each :meth:`replay` is a fresh source
-    with its own drain state.
-    """
-
-    silent_drain = True
-
-    def __init__(self, source, n_cycles: int) -> None:
-        self.topology = source.topology
-        self.payload_mode = getattr(source, "payload_mode", "constant")
-        self.payload_bits = getattr(source, "payload_bits", 64)
-        self.multicast_fraction = getattr(source, "multicast_fraction", 0.0)
-        self._cycles = tuple(
-            tuple(
-                (p.src, p.dests, p.size_flits, p.routing, p.payload)
-                for p in source.packets_for_cycle(cycle)
-            )
-            for cycle in range(n_cycles)
-        )
-        self._draining = False
-
-    def replay(self) -> "TrafficTape":
-        """A fresh source over the same recording."""
-        tape = copy.copy(self)
-        tape._draining = False
-        return tape
-
-    # --- traffic protocol -------------------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def begin_drain(self) -> None:
-        if self._draining:
-            raise ConfigurationError("begin_drain() while already draining")
-        self._draining = True
-
-    def end_drain(self) -> None:
-        if not self._draining:
-            raise ConfigurationError("end_drain() without begin_drain()")
-        self._draining = False
-
-    def packets_for_cycle(self, cycle: int) -> list[Packet]:
-        if self._draining or cycle >= len(self._cycles):
-            return []
-        out = []
-        for src, dests, size_flits, routing, payload in self._cycles[cycle]:
-            if routing == "xy" and len(dests) == 1:
-                out.append(
-                    unicast_packet(src, dests, size_flits, cycle, payload)
-                )
-            else:
-                out.append(
-                    Packet(
-                        src=src,
-                        dests=dests,
-                        size_flits=size_flits,
-                        inject_cycle=cycle,
-                        routing=routing,
-                        payload=payload,
-                    )
-                )
-        return out
-
-
 __all__ = [
     "PAYLOAD_MODES",
     "PayloadedTraffic",
-    "TrafficTape",
     "attach_payloads",
     "random_word",
 ]

@@ -12,7 +12,6 @@ from repro.energy import (
     bias_overhead,
     datapath_share,
     energy_vs_density,
-    full_swing_energy_per_bit,
     full_swing_link_energy,
     kim2010,
     low_swing_energy_per_bit,
@@ -34,7 +33,7 @@ TECH = tech_45nm_soi()
 
 def test_low_swing_beats_full_swing(segment_1mm):
     low = low_swing_energy_per_bit(segment_1mm, vswing=0.3)
-    full = full_swing_energy_per_bit(segment_1mm)
+    full = low_swing_energy_per_bit(segment_1mm, vswing=TECH.vdd)
     assert low == pytest.approx(full * 0.3 / TECH.vdd, rel=1e-9)
 
 

@@ -3,10 +3,10 @@
 When the network holds no flit and the fault layer only waits on a
 timer, ``NocSimulator.run`` jumps to the layer's next event instead of
 stepping each cycle — but only for traffic sources that draw nothing
-while draining (``silent_drain``: the campaign's ``TrafficTape`` and
-trace replay).  Every test here runs the same scenario once with the
-jump and once stepping every cycle (the same tape with ``silent_drain``
-switched off) and demands identical statistics, fault ledger, final
+while draining (``silent_drain``: trace replay, which the fault
+campaign's recorded streams use too).  Every test here runs the same
+scenario once with the jump and once stepping every cycle (the same
+recording with ``silent_drain`` switched off) and demands identical statistics, fault ledger, final
 cycle and, for wedged runs, the identical ``LivelockError``.
 """
 
@@ -19,18 +19,24 @@ import pytest
 from repro.errors import LivelockError
 from repro.fault import DeadLinks, FaultLayer, ProtectionConfig, UniformBer
 from repro.fault.protection import _Transfer
-from repro.noc import ENGINES, MeshTopology, NocSimulator, SyntheticTraffic
-from repro.workload import TrafficTape
+from repro.noc import (
+    ENGINES,
+    MeshTopology,
+    NocSimulator,
+    SyntheticTraffic,
+    TraceTraffic,
+    record_trace,
+)
 from tests.test_noc_fastsim_parity import _fault_fingerprint, _fingerprint
 
 WARMUP, MEASURE = 40, 160
 
 
-def _tape(seed: int = 4, rate: float = 0.05) -> TrafficTape:
+def _tape(seed: int = 4, rate: float = 0.05) -> TraceTraffic:
     source = SyntheticTraffic(
         MeshTopology(3), rate, "uniform", size_flits=2, seed=seed
     )
-    return TrafficTape(source, WARMUP + MEASURE)
+    return record_trace(source, WARMUP + MEASURE)
 
 
 def _run(engine, silent, model, protection, drain_limit=20_000, wedge=None):

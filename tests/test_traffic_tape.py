@@ -1,11 +1,13 @@
-"""Traffic tapes: one recorded packet stream per fault campaign.
+"""Campaign tapes: one recorded packet stream per fault campaign.
 
-A fault campaign generates its traffic once per process and replays it
-at every (BER, protocol) point (docs/FAULTS.md).  These tests pin both
-halves of that claim — a tape replays its source packet for packet, and
-a campaign point run from the tape equals the same point run on a live
-generator — and the memo's scope: one recording per campaign, shared by
-the serial map, worker processes and the service adapter.
+A fault campaign records its traffic once per process with
+``record_trace`` and replays it at every (BER, protocol) point
+(docs/FAULTS.md).  These tests pin both halves of that claim — a
+recording replays its source packet for packet, and a campaign point
+run from the recording equals the same point run on a live generator —
+and the memo's scope: one recording per campaign, shared by the serial
+map, worker processes and the service adapter; a trace campaign parses
+its file once.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fault import FaultCampaignConfig, run_fault_campaign
 from repro.fault import campaign
-from repro.noc import build_topology
+from repro.noc import TraceTraffic, build_topology, record_trace
+from repro.noc import trace as noc_trace
 from repro.noc.traffic import PATTERNS
 from repro.service.adapters import get_adapter
-from repro.workload import COLLECTIVES, TrafficTape, build_traffic
+from repro.workload import COLLECTIVES, build_traffic
 
 N_CYCLES = 120
 
@@ -61,10 +64,11 @@ SOURCES = (
 
 
 def _fields(packet):
-    """Every packet field except the process-global ``packet_id``."""
+    """Every packet field except the process-global ``packet_id``;
+    ``dests`` in iteration order, which the e2e tracker follows."""
     return (
         packet.src,
-        packet.dests,
+        tuple(packet.dests),
         packet.size_flits,
         packet.inject_cycle,
         packet.routing,
@@ -79,7 +83,7 @@ def test_replay_equals_live_generation(topo, kwargs):
     def source():
         return build_traffic(TOPOLOGIES[topo](), seed=5, **kwargs)
 
-    replay = TrafficTape(source(), N_CYCLES).replay()
+    replay = record_trace(source(), N_CYCLES).replay()
     live = source()
     replayed = []
     for cycle in range(N_CYCLES):
@@ -93,7 +97,7 @@ def test_replay_equals_live_generation(topo, kwargs):
         assert all(len(p.payload) == p.size_flits for p in replayed)
     if kwargs["workload"] == "collective" or kwargs.get("multicast_fraction"):
         assert any(p.is_multicast for p in replayed)
-    # Drained, both make nothing; past the recording the tape stays empty.
+    # Drained, both make nothing; past the recording the replay stays empty.
     live.begin_drain()
     replay.begin_drain()
     for cycle in range(N_CYCLES, N_CYCLES + 30):
@@ -107,19 +111,24 @@ def test_tape_carries_source_attributes():
     topology = TOPOLOGIES["mesh"]()
     source = build_traffic(topology, "collective", payload_mode="random",
                            flit_bits=32, seed=5)
-    tape = TrafficTape(source, 10)
+    tape = record_trace(source, 10)
     assert tape.topology == topology
-    assert tape.payload_mode == "random"
+    # Recorded words are replayed, not drawn: links count them exactly
+    # as under the source's "random" mode.
+    assert tape.payload_mode == "trace"
     assert tape.payload_bits == 32
-    assert tape.multicast_fraction == source.multicast_fraction > 0.0
-    plain = TrafficTape(build_traffic(topology, "synthetic", seed=5), 10)
+    # The recording's measured multicast share, not the declared one.
+    multicast = sum(len(e.dests) > 1 for e in tape.entries)
+    assert multicast > 0
+    assert tape.multicast_fraction == multicast / tape.n_packets
+    plain = record_trace(build_traffic(topology, "synthetic", seed=5), 10)
     assert plain.payload_mode == "constant"
     assert plain.multicast_fraction == 0.0
 
 
 def test_replays_have_their_own_drain_state():
     source = build_traffic(TOPOLOGIES["mesh"](), injection_rate=0.5)
-    tape = TrafficTape(source, 5)
+    tape = record_trace(source, 5)
     first = tape.replay()
     first.begin_drain()
     with pytest.raises(ConfigurationError):
@@ -203,6 +212,52 @@ def test_tape_memo_is_bounded_and_keyed_by_config(monkeypatch):
     assert list(campaign._tapes) == configs[-campaign._TAPE_MEMO_SIZE:]
     assert campaign._campaign_tape(configs[-1]) is tapes[-1]
     assert len({id(t) for t in tapes}) == len(tapes)  # one per seed
+
+
+def test_trace_campaign_parses_its_file_once(tmp_path, monkeypatch):
+    """Config validation, config hashing and every point of a trace
+    campaign share one parse and one validation of the file."""
+    source = build_traffic(build_topology("mesh", 3), "bursty",
+                           injection_rate=0.1, payload_mode="random", seed=2)
+    path = tmp_path / "campaign.json"
+    record_trace(source, 60).save(path)
+    parses, validations = [], []
+    load_any = TraceTraffic.load_any.__func__
+    post_init = TraceTraffic.__post_init__
+
+    def counting_load_any(cls, *args, **kwargs):
+        parses.append(args)
+        return load_any(cls, *args, **kwargs)
+
+    def counting_post_init(self, *args):
+        validations.append(self)
+        post_init(self, *args)
+
+    monkeypatch.setattr(TraceTraffic, "load_any",
+                        classmethod(counting_load_any))
+    monkeypatch.setattr(TraceTraffic, "__post_init__", counting_post_init)
+    config = FaultCampaignConfig(
+        k=3, workload="trace", trace_path=str(path), warmup=20, measure=40,
+        bers=(1e-4, 1e-3), seed=4,
+    )
+    result = run_fault_campaign(config)
+    assert len(result.points) == 8
+    assert len(parses) == 1
+    assert len(validations) == 1
+
+
+def test_edited_trace_file_is_parsed_again(tmp_path):
+    topology = build_topology("mesh", 3)
+    path = tmp_path / "t.json"
+    record_trace(build_traffic(topology, seed=1), 30).save(path)
+    first = noc_trace.cached_trace(path)
+    assert noc_trace.cached_trace(path) is first
+    record_trace(build_traffic(topology, seed=2, injection_rate=0.3),
+                 30).save(path)
+    second = noc_trace.cached_trace(path)
+    assert second is not first
+    assert second.content_hash() == noc_trace.trace_file_hash(path)
+    assert second.content_hash() != first.content_hash()
 
 
 def test_parallel_and_service_results_equal_serial(monkeypatch):

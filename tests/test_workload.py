@@ -27,6 +27,7 @@ from repro.noc import (
     TraceEntry,
     TraceTraffic,
     build_topology,
+    cached_trace,
     iter_trace_text,
     price_stats,
     record_trace,
@@ -41,7 +42,6 @@ from repro.workload import (
     PayloadedTraffic,
     build_traffic,
     coupling_miller_fraction,
-    load_trace_cached,
     payload_datapath_energy,
 )
 
@@ -172,16 +172,75 @@ def test_trace_drain_protocol():
     assert trace.packets_for_cycle(trace.entries[0].cycle)
 
 
-def test_load_trace_cached_returns_fresh_instances(tmp_path):
+def test_cached_trace_replays_are_fresh_instances(tmp_path):
     trace = _sample_trace()
     path = tmp_path / "t.json"
     trace.save(path)
-    first = load_trace_cached(path)
-    second = load_trace_cached(path)
+    assert cached_trace(path) is cached_trace(path)  # parsed once
+    first = build_traffic(None, "trace", trace_path=path)
+    second = cached_trace(path).replay()
     assert first is not second
-    assert first.entries is second.entries  # parsed once
+    assert first.entries is second.entries is cached_trace(path).entries
     first.begin_drain()
     assert not second.draining
+    assert not cached_trace(path).draining
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("0 1,1 1,1 1", "destination equals its source"),
+        ("0 0,0 1,1;0,0 1", "destination equals its source"),
+        ("0 0,0 1,1;2,2 2", "multicast packets must be single-flit"),
+        ("0 0,0 1,1 0", "size_flits must be >= 1"),
+    ],
+    ids=["self-unicast", "self-in-multicast", "multi-flit-multicast",
+         "zero-flits"],
+)
+def test_trace_refuses_entries_packet_refuses(tmp_path, line, match):
+    """A trace that loads also replays: Packet's rules are checked when
+    the trace is built, not when a replay reaches the entry."""
+    path = tmp_path / "bad.trace"
+    path.write_text(f"topology mesh k=4\n{line}\n")
+    with pytest.raises(ConfigurationError, match=match):
+        TraceTraffic.load_text(path)
+    with pytest.raises(ConfigurationError, match=match):
+        trace_file_hash(path)
+
+
+def test_trace_refuses_an_entry_without_destinations():
+    with pytest.raises(ConfigurationError, match="at least one destination"):
+        TraceTraffic(topology=_mesh(), entries=[TraceEntry(0, (0, 0), (), 1)])
+
+
+def test_trace_keeps_worst_case_recording(tmp_path):
+    """A worst-case source records as worst_case: its replay drives the
+    all-toggle complement, counting transitions exactly as live."""
+    topology = _mesh(3)
+
+    def source():
+        return build_traffic(topology, "synthetic", injection_rate=0.1,
+                             size_flits=2, payload_mode="worst_case",
+                             flit_bits=16, seed=SEED)
+
+    trace = record_trace(source(), 60)
+    assert trace.payload_mode == "worst_case" and trace.worst_case
+    assert not any(e.payload for e in trace.entries)
+    constant = TraceTraffic(topology, trace.entries, flit_bits=16)
+    assert trace.content_hash() != constant.content_hash()
+
+    def transitions(traffic):
+        sim = NocSimulator(topology, traffic=traffic, seed=SEED)
+        sim.run(warmup=10, measure=50)
+        return [link.payload_transitions for link in sim.links]
+
+    counts = transitions(trace.replay())
+    assert sum(counts) > 0
+    assert counts == transitions(source())
+    for save in (trace.save, trace.save_text):
+        with pytest.raises(ConfigurationError, match="worst_case"):
+            save(tmp_path / "worst")
+    assert not (tmp_path / "worst").exists()
 
 
 # --- generators --------------------------------------------------------------------------
