@@ -6,9 +6,12 @@ and saves them under ``benchmarks/output/``.  ``pytest-benchmark`` wraps
 the computation so the harness also reports how long each reproduction
 takes.
 
-Set ``REPRO_FULL=1`` for publication-fidelity sizes (e.g. the paper's
-full 1000-run Monte Carlo); the default sizes keep the whole suite to a
-few minutes while preserving every qualitative result.
+An E-row benchmark runs its entry of the experiment registry
+(:mod:`repro.analysis.registry`) through ``run_row``, at the same size
+``scripts/run_all_experiments.py`` uses for EXPERIMENTS.md and
+``results/``, so its saved report equals ``results/<id>.txt``.  Set
+``REPRO_FULL=1`` for the registry's publication-fidelity sizes (the
+script's ``--full``; e.g. the paper's 1000-run Monte Carlo).
 """
 
 from __future__ import annotations
@@ -18,18 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import experiment
+
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
-
-#: Monte Carlo dies per design point (paper: 1000).
-MC_RUNS = 1000 if FULL else 250
-#: Swing points for the Fig. 6 sweep.
-FIG6_SWINGS = (0.27, 0.285, 0.30, 0.315, 0.33) if FULL else (0.28, 0.30, 0.32)
-#: BER measurement length.
-BER_BITS = 500_000 if FULL else 30_000
-#: NoC measurement window.
-NOC_MEASURE = 1500 if FULL else 400
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +37,18 @@ def save_report():
         print(f"\n{text}\n")
 
     return _save
+
+
+@pytest.fixture
+def run_row(benchmark, save_report):
+    """Run registry entry ``experiment_id`` at its row's size under the
+    benchmark timer and save its report as ``output/<name>.txt``."""
+
+    def _run(experiment_id: str, name: str):
+        result = benchmark.pedantic(
+            experiment(experiment_id).run, args=(FULL,), rounds=1, iterations=1
+        )
+        save_report(name, result.text)
+        return result
+
+    return _run

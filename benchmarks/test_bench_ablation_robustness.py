@@ -7,16 +7,9 @@ Carlo'd at the selected swing.
 
 from __future__ import annotations
 
-from conftest import MC_RUNS
 
-from repro.analysis import e12_ablation
-
-
-def test_bench_ablation_robustness(benchmark, save_report):
-    result = benchmark.pedantic(
-        e12_ablation, kwargs={"n_runs": MC_RUNS}, rounds=1, iterations=1
-    )
-    save_report("E12_ablation_robustness", result.text)
+def test_bench_ablation_robustness(run_row):
+    result = run_row("E12", "E12_ablation_robustness")
     res = result.data["results"]
     p = {k: v.error_probability for k, v in res.items()}
     # The full robust design beats the straightforward baseline...

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import e8_bias_overhead
 
-
-def test_bench_bias_overhead(benchmark, save_report):
-    result = benchmark.pedantic(e8_bias_overhead, rounds=1, iterations=1)
-    save_report("E8_bias_overhead", result.text)
+def test_bench_bias_overhead(run_row):
+    result = run_row("E8", "E8_bias_overhead")
     assert result.data["fraction_64"] == pytest.approx(0.006, abs=0.003)

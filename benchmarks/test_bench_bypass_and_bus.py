@@ -2,29 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import FULL, NOC_MEASURE
 
-from repro.analysis import e16_bypass, e17_bus
-
-
-def test_bench_bypass(benchmark, save_report):
-    result = benchmark.pedantic(
-        e16_bypass, kwargs={"measure": NOC_MEASURE}, rounds=1, iterations=1
-    )
-    save_report("E16_bypass", result.text)
+def test_bench_bypass(run_row):
+    result = run_row("E16", "E16_bypass")
     for run in result.data["runs"]:
         assert run["latency_bypass"] < run["latency_base"]
         assert run["buffer_energy_bypass"] <= run["buffer_energy_base"]
 
 
-def test_bench_bus(benchmark, save_report):
-    result = benchmark.pedantic(
-        e17_bus,
-        kwargs={"n_bits": 16, "n_runs": 120 if FULL else 40},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E17_bus", result.text)
+def test_bench_bus(run_row):
+    result = run_row("E17", "E17_bus")
     assert result.data["tt"].ok
     report = result.data["yield"]
     # Correlated lanes: the measured bus failure probability sits at or

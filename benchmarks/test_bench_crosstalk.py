@@ -7,12 +7,9 @@ swing loss against the stage's sensing margin, across wire spacings.
 
 from __future__ import annotations
 
-from repro.analysis import e15_crosstalk
 
-
-def test_bench_crosstalk(benchmark, save_report):
-    result = benchmark.pedantic(e15_crosstalk, rounds=1, iterations=1)
-    save_report("E15_crosstalk", result.text)
+def test_bench_crosstalk(run_row):
+    result = run_row("E15", "E15_crosstalk")
     points = {p["space_scale"]: p for p in result.data["points"]}
     # Noise and Miller loss grow monotonically as spacing tightens.
     scales = sorted(points)

@@ -8,12 +8,9 @@ out.
 
 from __future__ import annotations
 
-from repro.analysis import e3_driver_modes
 
-
-def test_bench_driver_modes(benchmark, save_report):
-    result = benchmark.pedantic(e3_driver_modes, rounds=1, iterations=1)
-    save_report("E3_driver_modes", result.text)
+def test_bench_driver_modes(run_row):
+    result = run_row("E3", "E3_driver_modes")
     maps = result.data["maps"]
     # The NMOS driver's map is (nearly) dVth_p-independent: the residual
     # row variation comes from the shared INV/delay-cell blocks, not the

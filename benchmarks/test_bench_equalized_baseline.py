@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from repro.analysis import e22_equalized_baseline
 
-
-def test_bench_equalized_baseline(benchmark, save_report):
-    result = benchmark.pedantic(e22_equalized_baseline, rounds=1, iterations=1)
-    save_report("E22_equalized_baseline", result.text)
+def test_bench_equalized_baseline(run_row):
+    result = run_row("E22", "E22_equalized_baseline")
     points = result.data["points"]
     rates = [p["rate"] for p in points]
     energies = [p["energy"] for p in points]

@@ -6,11 +6,8 @@ discharge/reset, regenerated full-swing OUT pulse.
 
 from __future__ import annotations
 
-from repro.analysis import e1_fig4_waveforms
 
-
-def test_bench_fig4_waveforms(benchmark, save_report):
-    result = benchmark.pedantic(e1_fig4_waveforms, rounds=1, iterations=1)
-    save_report("E1_fig4_waveforms", result.text)
+def test_bench_fig4_waveforms(run_row):
+    result = run_row("E1", "E1_fig4_waveforms")
     assert result.data["out_peak"] > 2 * result.data["in_peak"]
     assert result.data["x_standby"] > 0.5

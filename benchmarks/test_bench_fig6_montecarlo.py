@@ -7,19 +7,9 @@ process-variation-immunity ratio at the selected swing.
 
 from __future__ import annotations
 
-from conftest import FIG6_SWINGS, MC_RUNS
 
-from repro.analysis import e4_fig6_montecarlo
-
-
-def test_bench_fig6_montecarlo(benchmark, save_report):
-    result = benchmark.pedantic(
-        e4_fig6_montecarlo,
-        kwargs={"swings": FIG6_SWINGS, "n_runs": MC_RUNS},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E4_fig6_montecarlo", result.text)
+def test_bench_fig6_montecarlo(run_row):
+    result = run_row("E4", "E4_fig6_montecarlo")
     sweep = result.data["sweep"]
     robust = sweep.series("robust")
     straightforward = sweep.series("straightforward")

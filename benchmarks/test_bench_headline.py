@@ -9,16 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import BER_BITS
 
-from repro.analysis import e5_headline
-
-
-def test_bench_headline(benchmark, save_report):
-    result = benchmark.pedantic(
-        e5_headline, kwargs={"n_ber_bits": BER_BITS}, rounds=1, iterations=1
-    )
-    save_report("E5_headline", result.text)
+def test_bench_headline(run_row):
+    result = run_row("E5", "E5_headline")
     assert result.data["energy_report"].fj_per_bit_per_mm == pytest.approx(
         40.4, rel=0.15
     )

@@ -7,32 +7,16 @@ tree multicast with taps is priced against unicast replication.
 
 from __future__ import annotations
 
-from conftest import FULL, NOC_MEASURE
 
-from repro.analysis import e11_multicast, e11_multicast_simulated
-
-
-def test_bench_multicast_analytic(benchmark, save_report):
-    result = benchmark.pedantic(
-        e11_multicast,
-        kwargs={"n_samples": 400 if FULL else 150},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E11_multicast_analytic", result.text)
+def test_bench_multicast_analytic(run_row):
+    result = run_row("E11", "E11_multicast_analytic")
     savings = result.data["savings"]
     degrees = sorted(savings)
     assert savings[degrees[0]] > 1.0
     assert savings[degrees[-1]] > savings[degrees[0]]
 
 
-def test_bench_multicast_simulated(benchmark, save_report):
-    result = benchmark.pedantic(
-        e11_multicast_simulated,
-        kwargs={"measure": NOC_MEASURE},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E11_multicast_simulated", result.text)
+def test_bench_multicast_simulated(run_row):
+    result = run_row("E11b", "E11_multicast_simulated")
     assert result.data["tree"].tap_deliveries > 0
     assert result.data["energy_saving"] > 1.2

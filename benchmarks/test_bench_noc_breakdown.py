@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import e10_noc_breakdown
 from repro.energy import datapath_share
 
 
-def test_bench_noc_breakdown(benchmark, save_report):
-    result = benchmark.pedantic(e10_noc_breakdown, rounds=1, iterations=1)
-    save_report("E10_noc_breakdown", result.text)
+def test_bench_noc_breakdown(run_row):
+    result = run_row("E10", "E10_noc_breakdown")
     assert datapath_share("RAW") == pytest.approx(69.0)
     assert datapath_share("TRIPS") == pytest.approx(64.0)
     assert datapath_share("TeraFLOPS") == pytest.approx(32.0)

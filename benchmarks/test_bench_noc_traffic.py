@@ -16,25 +16,13 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import FULL, NOC_MEASURE
+from conftest import FULL
 
-from repro.analysis import e14_noc_traffic
 from repro.noc import NocSimulator, SyntheticTraffic, build_topology
 
 
-def test_bench_noc_traffic(benchmark, save_report):
-    result = benchmark.pedantic(
-        e14_noc_traffic,
-        kwargs={
-            "k": 6 if FULL else 4,
-            "rates": (0.05, 0.15, 0.25, 0.35),
-            "patterns": ("uniform", "transpose"),
-            "measure": NOC_MEASURE,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E14_noc_traffic", result.text)
+def test_bench_noc_traffic(run_row):
+    result = run_row("E14", "E14_noc_traffic")
     runs = result.data["runs"]
     for run in runs:
         saving = (

@@ -8,17 +8,9 @@ more slowly.
 
 from __future__ import annotations
 
-from repro.analysis import e2_pulse_width_dynamics
 
-
-def test_bench_pulsewidth_dynamics(benchmark, save_report):
-    result = benchmark.pedantic(
-        e2_pulse_width_dynamics,
-        kwargs={"corner_shifts": (0.0, 0.014, 0.016, 0.018)},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E2_pulsewidth_dynamics", result.text)
+def test_bench_pulsewidth_dynamics(run_row):
+    result = run_row("E2", "E2_pulsewidth_dynamics")
     # Eq. (1): monotone shrink for the single design at the +16 mV corner.
     widths = [w for w in result.data["profiles"][0.016]["single"] if w is not None]
     assert all(a >= b - 0.5 for a, b in zip(widths, widths[1:]))

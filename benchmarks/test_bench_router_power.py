@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import e9_router_power
 
-
-def test_bench_router_power(benchmark, save_report):
-    result = benchmark.pedantic(e9_router_power, rounds=1, iterations=1)
-    save_report("E9_router_power", result.text)
+def test_bench_router_power(run_row):
+    result = run_row("E9", "E9_router_power")
     power = result.data["power_srlr"]
     assert power.buffers == pytest.approx(38.8e-3, rel=0.1)
     assert power.control == pytest.approx(5.2e-3, rel=0.1)

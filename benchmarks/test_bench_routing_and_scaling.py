@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from conftest import FULL
 
-from repro.analysis import e20_routing, e21_tech_scaling
-
-
-def test_bench_o1turn_routing(benchmark, save_report):
-    result = benchmark.pedantic(
-        e20_routing,
-        kwargs={"measure": 500 if FULL else 300},
-        rounds=1,
-        iterations=1,
-    )
-    save_report("E20_o1turn_routing", result.text)
+def test_bench_o1turn_routing(run_row):
+    result = run_row("E20", "E20_o1turn_routing")
     # At the highest (adversarial) load O1TURN must beat XY clearly.
     worst = result.data["runs"][-1]
     assert worst["o1turn"].average_latency < worst["xy"].average_latency
@@ -22,9 +12,8 @@ def test_bench_o1turn_routing(benchmark, save_report):
     assert worst["o1turn"].delivered_count > 0
 
 
-def test_bench_tech_scaling(benchmark, save_report):
-    result = benchmark.pedantic(e21_tech_scaling, rounds=1, iterations=1)
-    save_report("E21_tech_scaling", result.text)
+def test_bench_tech_scaling(run_row):
+    result = run_row("E21", "E21_tech_scaling")
     shares = [p["fs_datapath_share"] for p in result.data["points"]]
     savings = [p["srlr_saving"] for p in result.data["points"]]
     # Section I: the datapath share grows monotonically as CMOS scales...

@@ -13,12 +13,15 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import MC_RUNS
+from conftest import FULL
 
+from repro.analysis import experiment
 from repro.circuit import robust_design
 from repro.mc import run_monte_carlo
 from repro.runtime import ParallelExecutor
 
+#: Dies per run: the Fig. 6 row's Monte Carlo size.
+MC_RUNS = experiment("E4").kwargs(FULL)["n_runs"]
 PARALLEL_JOBS = 4
 #: Cores needed before the 2x-speedup acceptance assertion arms.
 MIN_CORES_FOR_SPEEDUP = 4
@@ -58,7 +61,7 @@ def test_bench_runtime_parallel(benchmark, save_report):
         f"task failures              : {metrics.failed_tasks}",
         f"bitwise parity             : {parallel.runs == serial.runs}",
     ]
-    save_report("E23_runtime_parallel", "\n".join(lines))
+    save_report("BENCH_runtime_parallel", "\n".join(lines))
 
     # Parity is unconditional: identical McRun lists, any worker count.
     assert parallel.runs == serial.runs

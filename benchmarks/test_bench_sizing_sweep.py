@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis import e13_sizing
 from repro.units import MM
 
 
-def test_bench_sizing_sweep(benchmark, save_report):
-    result = benchmark.pedantic(e13_sizing, rounds=1, iterations=1)
-    save_report("E13_sizing_sweep", result.text)
+def test_bench_sizing_sweep(run_row):
+    result = run_row("E13", "E13_sizing_sweep")
     points = {round(p.segment_length / MM, 1): p for p in result.data["length_points"]}
     assert points[1.0].ok  # the paper's 1 mm insertion works
     assert not points[2.5].ok  # far beyond it, the swing collapses

@@ -6,12 +6,9 @@ reproduction's own measured "This Work" row.
 
 from __future__ import annotations
 
-from repro.analysis import e7_table1
 
-
-def test_bench_table1(benchmark, save_report):
-    result = benchmark.pedantic(e7_table1, rounds=1, iterations=1)
-    save_report("E7_table1", result.text)
+def test_bench_table1(run_row):
+    result = run_row("E7", "E7_table1")
     designs = result.data["designs"]
     assert len(designs) == 6  # 5 prior rows (kim has 2 points) + this work
     ours = designs[-1]

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from repro.analysis import e18_temperature, e19_system_studies
 
-
-def test_bench_temperature(benchmark, save_report):
-    result = benchmark.pedantic(e18_temperature, rounds=1, iterations=1)
-    save_report("E18_temperature", result.text)
+def test_bench_temperature(run_row):
+    result = run_row("E18", "E18_temperature")
     points = {p["temp_c"]: p for p in result.data["points"]}
     # Room temperature (the chip's measurement condition) works for both.
     assert points[25.0]["adaptive_ok"] and points[25.0]["fixed_ok"]
@@ -20,9 +17,8 @@ def test_bench_temperature(benchmark, save_report):
     assert ad_lo <= fx_lo and ad_hi >= fx_hi
 
 
-def test_bench_system_studies(benchmark, save_report):
-    result = benchmark.pedantic(e19_system_studies, rounds=1, iterations=1)
-    save_report("E19_system_studies", result.text)
+def test_bench_system_studies(run_row):
+    result = run_row("E19", "E19_system_studies")
     chip = result.data["chip"]
     assert chip.noc_power_reduction > 0.2  # the SRLR pays at chip scale
     # Section I's topology claim: the mesh wins for all localities here

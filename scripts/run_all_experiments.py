@@ -1,165 +1,120 @@
-"""Run every experiment (E1-E22) and write the full report bundle.
+"""Run every experiment; write results/ and EXPERIMENTS.md.
 
-Run:  python scripts/run_all_experiments.py [--full] [--jobs N]
-                                            [--cache[=DIR]] [outdir]
+Run:  python scripts/run_all_experiments.py [--full] [--jobs [N]]
+                                            [--cache [DIR]] [outdir]
 
-The canonical "reproduce the paper" entry point: executes all experiment
-drivers, prints each report, and saves them under ``results/`` (one text
-file per experiment plus a combined REPORT.txt).  ``--full`` selects
-publication-fidelity sizes.  ``--jobs N`` fans the Monte Carlo blocks
-(E4, E12) across N worker processes — results are identical for every N
-— and ``--cache`` reuses previously computed MC blocks from an on-disk
-content-addressed cache (default ``results/.mc-cache``).
+The canonical "reproduce the paper" entry point: runs each entry of the
+experiment registry (:mod:`repro.analysis.registry`) once at its row's
+size, prints each report, saves it as ``<outdir>/<id>.txt`` plus a
+combined REPORT.txt, and renders EXPERIMENTS.md from the same results.
+With the default outdir (``results``) EXPERIMENTS.md is rewritten in
+place; any other outdir gets its own copy, so a scratch run leaves the
+committed files alone.  CI runs the script and fails if ``git diff``
+shows EXPERIMENTS.md or ``results/`` changed, so no tracked number can
+drift from the code.
 
-A failing experiment no longer aborts the suite: the remaining
-experiments still run, a failure table is printed at the end, and the
-process exits nonzero so CI notices.
+``--full`` selects publication-fidelity sizes.  ``--jobs N`` fans the
+Monte Carlo blocks, the DSE search and the fault campaign across N
+worker processes (bare ``--jobs``: all cores); results are identical for
+every N.  ``--cache`` reuses previously computed Monte Carlo blocks from
+an on-disk content-addressed cache (default ``results/.mc-cache``).
+Wall times go to stdout only, so every written file is byte-stable.
+
+A failing experiment does not abort the suite: the remaining experiments
+still run, a failure table is printed at the end, EXPERIMENTS.md is left
+as it was, and the process exits nonzero.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 import traceback
 from pathlib import Path
 
-from repro.analysis import (
-    calibration_report,
-    e1_fig4_waveforms,
-    e2_pulse_width_dynamics,
-    e3_driver_modes,
-    e4_fig6_montecarlo,
-    e5_headline,
-    e6_fig8_energy_density,
-    e7_table1,
-    e8_bias_overhead,
-    e9_router_power,
-    e10_noc_breakdown,
-    e11_multicast,
-    e11_multicast_simulated,
-    e12_ablation,
-    e13_sizing,
-    e14_noc_traffic,
-    e15_crosstalk,
-    e16_bypass,
-    e17_bus,
-    e18_temperature,
-    e19_system_studies,
-    e20_routing,
-    e21_tech_scaling,
-    e22_equalized_baseline,
-)
+from repro.analysis import REGISTRY, calibration_report, render_experiments_md
 from repro.runtime import ResultCache, print_progress
 
-FULL = "--full" in sys.argv
-MC_RUNS = 1000 if FULL else 250
-SWINGS = (0.27, 0.285, 0.30, 0.315, 0.33) if FULL else (0.28, 0.30, 0.32)
+OUTDIR = Path("results")
 
 
-def _parse_args(argv: list[str]) -> tuple[Path, int, Path | None]:
-    """(outdir, n_jobs, cache_dir) from the command line."""
-    outdir = Path("results")
-    n_jobs = 1
-    cache_dir: Path | None = None
-    positional: list[str] = []
-    for arg in argv:
-        if arg == "--full":
-            continue
-        if arg.startswith("--jobs"):
-            value = arg.split("=", 1)[1] if "=" in arg else "0"
-            try:
-                n_jobs = int(value)
-            except ValueError:
-                raise SystemExit(f"--jobs expects an integer, got {value!r}")
-        elif arg.startswith("--cache"):
-            cache_dir = (
-                Path(arg.split("=", 1)[1]) if "=" in arg else Path("results/.mc-cache")
-            )
-        elif arg.startswith("--"):
-            raise SystemExit(f"unknown option {arg!r} (see module docstring)")
-        else:
-            positional.append(arg)
-    if positional:
-        outdir = Path(positional[0])
-    return outdir, n_jobs, cache_dir
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="run_all_experiments.py",
+        description="Run every experiment; write results/ and EXPERIMENTS.md.",
+    )
+    parser.add_argument("--full", action="store_true",
+                        help="publication-fidelity sizes")
+    parser.add_argument("--jobs", type=int, nargs="?", const=0, default=1,
+                        metavar="N", help="worker processes (bare --jobs or "
+                        "0 = all cores; default 1)")
+    parser.add_argument("--cache", type=Path, nargs="?", default=None,
+                        const=OUTDIR / ".mc-cache", metavar="DIR",
+                        help="on-disk Monte Carlo result cache "
+                        "(default dir: results/.mc-cache)")
+    parser.add_argument("outdir", nargs="?", type=Path, default=OUTDIR,
+                        help="report directory (default: results)")
+    return parser.parse_args(argv)
 
 
-def main() -> None:
-    outdir, n_jobs, cache_dir = _parse_args(sys.argv[1:])
-    outdir.mkdir(exist_ok=True)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    progress = print_progress if n_jobs != 1 else None
-    mc_kwargs = {"n_jobs": n_jobs, "cache": cache, "progress": progress}
-
-    runs = [
-        ("E1", lambda: e1_fig4_waveforms()),
-        ("E2", lambda: e2_pulse_width_dynamics()),
-        ("E3", lambda: e3_driver_modes()),
-        ("E4", lambda: e4_fig6_montecarlo(swings=SWINGS, n_runs=MC_RUNS, **mc_kwargs)),
-        ("E5", lambda: e5_headline()),
-        ("E6", lambda: e6_fig8_energy_density()),
-        ("E7", lambda: e7_table1()),
-        ("E8", lambda: e8_bias_overhead()),
-        ("E9", lambda: e9_router_power()),
-        ("E10", lambda: e10_noc_breakdown()),
-        ("E11", lambda: e11_multicast()),
-        ("E11b", lambda: e11_multicast_simulated()),
-        ("E12", lambda: e12_ablation(n_runs=MC_RUNS, **mc_kwargs)),
-        ("E13", lambda: e13_sizing()),
-        ("E14", lambda: e14_noc_traffic()),
-        ("E15", lambda: e15_crosstalk()),
-        ("E16", lambda: e16_bypass()),
-        ("E17", lambda: e17_bus()),
-        ("E18", lambda: e18_temperature()),
-        ("E19", lambda: e19_system_studies()),
-        ("E20", lambda: e20_routing()),
-        ("E21", lambda: e21_tech_scaling()),
-        ("E22", lambda: e22_equalized_baseline()),
-    ]
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    args.outdir.mkdir(exist_ok=True)
+    cache = ResultCache(args.cache) if args.cache is not None else None
+    runtime = {
+        "n_jobs": args.jobs,
+        "cache": cache,
+        "progress": print_progress if args.jobs != 1 else None,
+    }
 
     t_start = time.time()
+    data = {}
     combined: list[str] = []
-    # (label, exception summary, elapsed) per failed experiment: one bad
-    # experiment must not abort the other 22 — the suite continues,
-    # reports a failure table, and exits nonzero at the end.
+    # (id, exception summary, elapsed) per failed experiment: one bad
+    # experiment must not abort the others.
     failures: list[tuple[str, str, float]] = []
-    for label, run in runs:
+    entries = [e for e in REGISTRY if e.driver is not None]
+    for entry in entries:
         t0 = time.time()
         try:
-            result = run()
+            result = entry.run(args.full, **runtime)
         except KeyboardInterrupt:
             raise
         except Exception as exc:
             elapsed = time.time() - t0
-            failures.append((label, f"{type(exc).__name__}: {exc}", elapsed))
-            header = f"=== {label}: FAILED ({elapsed:.1f}s) ==="
-            print(header, file=sys.stderr)
+            failures.append((entry.id, f"{type(exc).__name__}: {exc}", elapsed))
+            header = f"=== {entry.id}: FAILED ==="
+            print(f"{header} ({elapsed:.1f}s)", file=sys.stderr)
             traceback.print_exc()
             combined.append(header + "\n" + traceback.format_exc() + "\n")
             continue
-        elapsed = time.time() - t0
-        header = f"=== {result.experiment_id}: {result.title} ({elapsed:.1f}s) ==="
-        print(header)
-        print(result.text)
-        print()
-        (outdir / f"{result.experiment_id}.txt").write_text(result.text + "\n")
+        header = f"=== {result.experiment_id}: {result.title} ==="
+        print(f"{header} ({time.time() - t0:.1f}s)\n{result.text}\n")
+        (args.outdir / f"{entry.id}.txt").write_text(result.text + "\n")
         combined.append(header + "\n" + result.text + "\n")
+        data[entry.id] = result.data
 
-    calibration = calibration_report()
-    combined.append("=== calibration ===\n" + calibration + "\n")
-    (outdir / "REPORT.txt").write_text("\n".join(combined))
-    n_ok = len(runs) - len(failures)
-    print(f"wrote {n_ok + 1} reports under {outdir}/ "
-          f"in {time.time() - t_start:.1f}s (jobs={n_jobs})")
+    combined.append("=== calibration ===\n" + calibration_report() + "\n")
+    (args.outdir / "REPORT.txt").write_text("\n".join(combined))
+    print(f"wrote {len(entries) - len(failures) + 1} reports under "
+          f"{args.outdir}/ in {time.time() - t_start:.1f}s (jobs={args.jobs})")
     if cache is not None:
         print(cache.summary())
     if failures:
-        print(f"\n{len(failures)}/{len(runs)} experiments FAILED:", file=sys.stderr)
+        print(f"\n{len(failures)}/{len(entries)} experiments FAILED; "
+              "EXPERIMENTS.md not written:", file=sys.stderr)
         width = max(len(label) for label, _, _ in failures)
         for label, summary, elapsed in failures:
             print(f"  {label:<{width}}  {summary}  ({elapsed:.1f}s)", file=sys.stderr)
-        raise SystemExit(1)
+        return 1
+    md_path = Path("EXPERIMENTS.md") if args.outdir == OUTDIR else (
+        args.outdir / "EXPERIMENTS.md"
+    )
+    md_path.write_text(render_experiments_md(data, full=args.full))
+    print(f"wrote {md_path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,9 +1,12 @@
 """One driver per paper table/figure (the per-experiment index of DESIGN.md).
 
 Every function returns an :class:`ExperimentResult`: structured data plus
-a rendered text report.  The benchmarks call these with default (fast)
-parameters; EXPERIMENTS.md records the outcomes against the paper's
-numbers.  Experiment ids follow DESIGN.md:
+a rendered text report.  The experiment registry
+(:mod:`repro.analysis.registry`) holds the kwargs each row runs them
+with; ``scripts/run_all_experiments.py`` and the benchmarks both take
+them from there, and EXPERIMENTS.md records the outcomes against the
+paper's numbers.  Experiment ids follow DESIGN.md (E25 and E26 have no
+driver: the tests named in their EXPERIMENTS.md rows check them):
 
 =====  ==============================================================
 E1     Fig. 4 — SRLR waveforms
@@ -17,6 +20,7 @@ E8     Section IV — bias generator overhead
 E9     Section IV — router power/area split
 E10    Section I — mesh NoC power breakdowns
 E11    Section II — multicast-for-free
+E11b   Section II — multicast-for-free, cycle-level simulation
 E12    ablation — robustness technique decomposition
 E13    ablation — sizing sweeps (segment length, swing, driver)
 E14    NoC-level — latency/throughput/energy under traffic
@@ -28,6 +32,11 @@ E19    extension — system studies: chip power, mesh-vs-Clos, serialization
 E20    extension — O1TURN adaptive routing vs XY under adversarial traffic
 E21    extension — technology scaling: the datapath share grows with nodes
 E22    extension — repeaterless/equalized links vs repeating, simulated
+E23    extension — Fig. 8 re-cast as an NSGA-II searched Pareto frontier
+E24    extension — fault injection: effective energy vs raw BER per protocol
+E25    extension — campaign service (no driver)
+E26    extension — topology family (no driver)
+E27    extension — workload axis: data-dependent link energy per workload
 =====  ==============================================================
 """
 
@@ -827,7 +836,7 @@ def e14_noc_traffic(
     from repro.workload import build_traffic
 
     rows = []
-    data: dict[str, Any] = {"runs": []}
+    data: dict[str, Any] = {"runs": [], "k": k}
     for pattern in patterns:
         for rate in rates:
             topology = MeshTopology(k)
@@ -1429,6 +1438,125 @@ def e22_equalized_baseline(length_mm: float = 10.0) -> ExperimentResult:
     return ExperimentResult("E22", "Equalized baseline, simulated", data, text)
 
 
+# --------------------------------------------------------------------------- E23
+
+
+def e23_fig8_frontier(n_jobs: int | None = 1) -> ExperimentResult:
+    """Extension: Fig. 8 re-cast as a searched Pareto frontier.
+
+    :func:`repro.dse.fig8_study`'s default NSGA-II search over (swing,
+    wire pitch) under the default :class:`~repro.dse.Fig8Evaluator`'s
+    Fig. 6 yield gate; the paper's configuration and the Table I
+    baselines join the pool.  The front is identical for every ``n_jobs``.
+    """
+    from repro.dse import Fig8Evaluator, fig8_study, format_front
+
+    evaluator = Fig8Evaluator()
+    mc_runs, yield_gate = evaluator.mc_runs, evaluator.max_error_probability
+    outcome = fig8_study(n_jobs=n_jobs, mc_runs=mc_runs)
+    result = outcome.result
+    paper = outcome.paper_point
+    pairs = [
+        ("candidates", len(result.records)),
+        ("infeasible", sum(1 for r in result.records if not r.feasible)),
+        ("front size", len(result.front)),
+        ("front hypervolume", f"{result.front_hypervolume():.6g}"),
+        ("paper point [fJ/bit/cm]", paper["energy_fj_per_bit_per_cm"]),
+        ("paper point [Gb/s/um]", paper["bandwidth_density_gbps_per_um"]),
+        ("paper point on the front", outcome.paper_on_front),
+        ("densest design in the pool", outcome.beats_baseline_density),
+    ]
+    text = format_kv(
+        f"E23 — Fig. 8 re-cast: NSGA-II frontier (P(die fail) <= "
+        f"{yield_gate:g} over {mc_runs} dies)",
+        pairs,
+    )
+    text += "\n\n" + format_front(result, title="computed Pareto front")
+    data = {"outcome": outcome, "yield_gate": yield_gate, "mc_runs": mc_runs}
+    return ExperimentResult("E23", "Fig. 8 searched frontier", data, text)
+
+
+# --------------------------------------------------------------------------- E24
+
+
+def e24_fault_protection(n_jobs: int | None = 1) -> ExperimentResult:
+    """Extension: effective fJ/bit/mm vs raw link BER per protection scheme.
+
+    The default :class:`~repro.fault.FaultCampaignConfig` grid (4x4 mesh,
+    four BERs x four protocols); per-link fault counts are identical for
+    every ``n_jobs``.
+    """
+    from repro.fault import (
+        format_fault_report,
+        protection_crossover,
+        run_fault_campaign,
+    )
+
+    campaign = run_fault_campaign(n_jobs=n_jobs)
+    text = (
+        "E24 — fault injection vs protection: effective energy vs raw link BER"
+        "\n\n" + format_fault_report(campaign)
+    )
+    data = {
+        "campaign": campaign,
+        "crossover": protection_crossover(campaign, "crc", "none"),
+    }
+    return ExperimentResult("E24", "Fault injection vs protection", data, text)
+
+
+# --------------------------------------------------------------------------- E27
+
+
+def e27_workload_energy() -> ExperimentResult:
+    """Extension: link energy per workload under data-dependent pricing.
+
+    One unprotected fault-campaign point per (workload, payload mode) on
+    the default 4x4 mesh at a vanishing BER: "random" payloads are priced
+    by counted bit transitions (plus the coupled-line Miller surcharge),
+    "constant" at the all-toggle per-bit price.  The collective workload
+    multicasts, so its points fall back to the reference engine.
+    """
+    from repro.fault import FaultCampaignConfig, run_fault_campaign
+    from repro.workload import coupling_miller_fraction
+
+    workloads = ("synthetic", "bursty", "collective")
+    payload_modes = ("random", "constant")
+    injection_rate, ber = 0.1, 1e-9
+    energy = {}
+    for workload in workloads:
+        for mode in payload_modes:
+            config = FaultCampaignConfig(
+                injection_rate=injection_rate,
+                bers=(ber,),
+                protocols=("none",),
+                workload=workload,
+                payload_mode=mode,
+            )
+            point = run_fault_campaign(config).points[0]
+            energy[workload, mode] = point.effective_fj_per_bit_mm
+    rows = [
+        [workload, *(f"{energy[workload, m]:.1f}" for m in payload_modes)]
+        for workload in workloads
+    ]
+    text = format_table(
+        ["workload", *(f"{m} [fJ/bit/mm]" for m in payload_modes)],
+        rows,
+        title=f"E27 — link energy per workload, 4x4 mesh @ {injection_rate} "
+        f"load, BER {ber:.0e}, no protection",
+    )
+    miller = coupling_miller_fraction()
+    text += (
+        f"\n\nopposing-pair crosstalk surcharge: +{miller * 100:.1f}% of a "
+        "transition (coupled-line Miller fraction)"
+    )
+    data = {
+        "energy": energy,
+        "injection_rate": injection_rate,
+        "miller_fraction": miller,
+    }
+    return ExperimentResult("E27", "Workload axis energy", data, text)
+
+
 __all__ = [
     "ExperimentResult",
     "e1_fig4_waveforms",
@@ -1454,4 +1582,7 @@ __all__ = [
     "e20_routing",
     "e21_tech_scaling",
     "e22_equalized_baseline",
+    "e23_fig8_frontier",
+    "e24_fault_protection",
+    "e27_workload_energy",
 ]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.config import check_fields, checked
 from repro.errors import ConfigurationError, LivelockError, WorkloadConfigError
-from repro.fault.energy import ProtectionCosts, price_fault_run
+from repro.fault.energy import price_fault_run
 from repro.fault.injector import FaultLayer
 from repro.fault.models import UniformBer
 from repro.fault.protection import PROTOCOLS, ProtectionConfig

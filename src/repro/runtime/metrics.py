@@ -3,8 +3,8 @@
 The executor records one :class:`ChunkRecord` per completed chunk and
 aggregates them into a :class:`RunMetrics`.  A progress hook — any
 callable taking the :class:`RunMetrics` — is invoked after every chunk,
-which is what the benchmarks and ``scripts/run_all_experiments.py`` use
-to report throughput while long Monte Carlo blocks run.
+which is what ``scripts/run_all_experiments.py`` uses to report
+throughput while long Monte Carlo blocks run.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ the physics.  The tolerance policy (see ``docs/GOLDEN_TESTS.md``):
   re-calibration, the exact pins do not.
 
 If a deliberate physics change moves a golden number: update the pinned
-constant here, re-run ``scripts/generate_experiments_md.py``, and say so
-in the commit message.  Never widen a tolerance to make CI pass.
+constant here, re-run ``scripts/run_all_experiments.py`` (it rewrites
+EXPERIMENTS.md and ``results/``), and say so in the commit message.  Never widen a tolerance to make CI pass.
 """
 
 from __future__ import annotations

@@ -99,6 +99,11 @@ def test_pattern_lookup_in_experiment_registry():
     import repro.analysis as analysis
 
     names = [n for n in analysis.__all__ if n.startswith("e") and n[1].isdigit()]
-    assert len(names) == 23  # E1..E22 plus the e11 simulated variant
+    # One exported driver per registry entry that runs one (E1..E27 but
+    # the text rows E25/E26, plus the e11 simulated variant).
+    assert len(names) == 26
+    assert set(names) == {
+        e.driver.__name__ for e in analysis.REGISTRY if e.driver is not None
+    }
     for name in names:
         assert callable(getattr(analysis, name))
