@@ -14,7 +14,8 @@ def test_bench_ablation_robustness(run_row):
     p = {k: v.error_probability for k, v in res.items()}
     # The full robust design beats the straightforward baseline...
     assert p["robust"] < p["straightforward"]
-    # ...and removing the adaptive swing hurts the most (our model's
-    # decomposition of the 3.7x, recorded in EXPERIMENTS.md).
+    # ...and removing the adaptive swing hurts too, second to removing
+    # the NMOS driver (our model's decomposition of the 3.7x, recorded in
+    # EXPERIMENTS.md).
     assert p["no_adaptive"] > p["robust"]
     assert 2.0 <= result.data["immunity_ratio"] <= 8.0

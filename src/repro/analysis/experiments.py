@@ -723,9 +723,6 @@ def e12_ablation(
     progress=None,
 ) -> ExperimentResult:
     """Ablation: each robustness technique toggled at the selected swing."""
-    from repro.runtime import ParallelExecutor
-
-    variants = design_variants()
     order = [
         "robust",
         "no_alternating",
@@ -733,15 +730,19 @@ def e12_ablation(
         "no_nmos_driver",
         "straightforward",
     ]
-    executor = ParallelExecutor(n_jobs=n_jobs, progress=progress)
-    results = {}
-    rows = []
-    for key in order:
-        res = run_monte_carlo(
-            variants[key], n_runs=n_runs, executor=executor, cache=cache
-        )
-        results[key] = res
-        rows.append([key, f"{res.error_probability:.3f}", res.n_failures])
+    sweep = sweep_swing(
+        [DEFAULT_NOMINAL_SWING],
+        variants=order,
+        n_runs=n_runs,
+        n_jobs=n_jobs,
+        cache=cache,
+        progress=progress,
+    )
+    results = sweep.points[0].results
+    rows = [
+        [key, f"{res.error_probability:.3f}", res.n_failures]
+        for key, res in results.items()
+    ]
     text = format_table(
         ["variant", "error probability", f"failures / {n_runs}"],
         rows,

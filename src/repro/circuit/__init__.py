@@ -42,7 +42,6 @@ from repro.circuit.inv_amp import CurrentStarvedInverter
 from repro.circuit.link import SRLRLink, StageRecord, TransmissionResult
 from repro.circuit.prbs import (
     PRBS_TAPS,
-    ErrorCounter,
     PrbsGenerator,
     worst_case_patterns,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "LengthPoint",
     "DelayCellPlan",
     "Demodulator",
-    "ErrorCounter",
     "FixedSwingReference",
     "InverterDriver",
     "LaunchedDrive",

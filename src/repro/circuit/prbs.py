@@ -1,10 +1,10 @@
-"""PRBS generation and error counting: the on-chip test circuit.
+"""PRBS generation: the data source of the on-chip test circuit.
 
 The fabricated link is fed by pseudo-random binary sequence data generated
 on-chip, and a test circuit performs data comparison and error counting
-(Section IV).  This module reproduces that measurement methodology exactly:
-standard Fibonacci LFSRs (PRBS7, PRBS15, PRBS31 with their ITU polynomial
-taps) and a comparator that counts mismatches against the expected stream.
+(Section IV).  This module reproduces the data source exactly: standard
+Fibonacci LFSRs (PRBS7, PRBS15, PRBS31 with their ITU polynomial taps).
+The comparison and error count live in :func:`repro.mc.ber.measure_ber`.
 """
 
 from __future__ import annotations
@@ -76,32 +76,6 @@ class PrbsGenerator:
                 f"seed must be a nonzero {self.order}-bit value, got {seed}"
             )
         self._state = seed
-
-
-@dataclass
-class ErrorCounter:
-    """Bit comparator and error counter (the receive half of the test chip)."""
-
-    transmitted: int = 0
-    errors: int = 0
-
-    def compare(self, sent: list[int], received: list[int]) -> int:
-        """Accumulate mismatches between two equal-length bit lists."""
-        if len(sent) != len(received):
-            raise ConfigurationError(
-                f"bit streams differ in length: {len(sent)} vs {len(received)}"
-            )
-        new_errors = sum(1 for a, b in zip(sent, received) if a != b)
-        self.transmitted += len(sent)
-        self.errors += new_errors
-        return new_errors
-
-    @property
-    def bit_error_rate(self) -> float:
-        """Observed errors / transmitted bits (0.0 before any traffic)."""
-        if self.transmitted == 0:
-            return 0.0
-        return self.errors / self.transmitted
 
 
 def worst_case_patterns(run_length: int = 4, repeats: int = 4) -> list[int]:

@@ -75,10 +75,8 @@ from repro.dse.studies import (
     Fig8Outcome,
     fig8_space,
     fig8_study,
-    noc_topology_space,
     sizing_space,
     sizing_study,
-    topology_study,
 )
 
 __all__ = [
@@ -116,7 +114,6 @@ __all__ = [
     "infeasible_vector",
     "log",
     "make_strategy",
-    "noc_topology_space",
     "non_dominated_sort",
     "pareto_front_indices",
     "run_dse",
@@ -124,5 +121,4 @@ __all__ = [
     "sizing_space",
     "sizing_study",
     "space_from_spec",
-    "topology_study",
 ]

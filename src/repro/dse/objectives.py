@@ -75,11 +75,6 @@ class Objective:
         """The value as a minimization coordinate (maximized => negated)."""
         return float(value) if self.sense == "min" else -float(value)
 
-    def unsigned(self, signed_value: float) -> float:
-        """Inverse of :meth:`signed`."""
-        return float(signed_value) if self.sense == "min" else -float(signed_value)
-
-
 def signed_vector(
     objectives: tuple[Objective, ...], metrics: dict[str, float]
 ) -> tuple[float, ...]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.analysis.report import format_kv, format_table
 from repro.dse.engine import DseResult
-from repro.dse.engine import EvalRecord
 
 
 def _fmt(value: float) -> str:
@@ -51,18 +50,9 @@ def format_summary(result: DseResult) -> str:
     return format_kv("DSE run summary", pairs)
 
 
-def format_record(record: EvalRecord) -> str:
-    """One candidate on one line (diagnostics, failure listings)."""
-    params = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(record.params.items()))
-    if not record.feasible:
-        return f"[{record.key[:8]}] {params} -> infeasible: {record.reason}"
-    objs = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(record.objectives.items()))
-    return f"[{record.key[:8]}] {params} -> {objs}"
-
-
 def format_report(result: DseResult, title: str = "Design-space exploration") -> str:
     """Summary plus front table (the CLI's default output)."""
     return f"{format_summary(result)}\n\n{format_front(result, title=title)}"
 
 
-__all__ = ["format_front", "format_record", "format_report", "format_summary"]
+__all__ = ["format_front", "format_report", "format_summary"]

@@ -28,7 +28,6 @@ from repro.dse import space as sp
 from repro.dse.engine import DseResult, candidate_key, candidate_seed, run_dse
 from repro.dse.objectives import (
     Fig8Evaluator,
-    NocTopologyEvaluator,
     SizingEvaluator,
     signed_vector,
 )
@@ -68,52 +67,6 @@ def sizing_space() -> sp.ParamSpace:
             sp.continuous("driver_scale", 0.6, 1.8),
         ),
         constraints=("m1_width_um >= 10.0 * m2_width_um",),
-    )
-
-
-def noc_topology_space(menu_size: int = 4) -> sp.ParamSpace:
-    """Topology family index plus injection rate (the E24 load axis).
-
-    ``topology_index`` is discrete over the
-    :meth:`~repro.dse.objectives.NocTopologyEvaluator.menu` entries;
-    the rate stays below the flat mesh's uniform-random saturation
-    point so most candidates finish their drain phase.
-    """
-    return sp.ParamSpace(
-        parameters=(
-            sp.discrete("topology_index", tuple(range(menu_size))),
-            sp.continuous("injection_rate", 0.01, 0.30),
-        )
-    )
-
-
-def topology_study(
-    strategy: SearchStrategy | None = None,
-    base_seed: int = 2013,
-    n_jobs: int | None = 1,
-    k: int = 4,
-    cache: ResultCache | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-    progress=None,
-) -> DseResult:
-    """The topology family's latency/goodput trade as a search.
-
-    Small by construction (four topologies x a load axis) — a grid
-    strategy covers it exactly; the default NSGA-II just matches the
-    other studies' driver shape.
-    """
-    strategy = strategy or Nsga2Strategy(population=12, generations=4)
-    return run_dse(
-        noc_topology_space(),
-        NocTopologyEvaluator(k=k),
-        strategy,
-        base_seed=base_seed,
-        n_jobs=n_jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
     )
 
 
@@ -246,8 +199,6 @@ __all__ = [
     "PAPER_SWING",
     "fig8_space",
     "fig8_study",
-    "noc_topology_space",
     "sizing_space",
     "sizing_study",
-    "topology_study",
 ]

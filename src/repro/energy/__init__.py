@@ -7,7 +7,6 @@ from repro.energy.baselines import (
     mensink2010,
     park2012,
     seo2010,
-    simulated_this_work_energy,
     table1_designs,
     this_work,
 )
@@ -31,11 +30,6 @@ from repro.energy.router import (
 )
 from repro.energy.chip import ChipComparison, ChipNocPower, chip_noc_power, compare_chip
 from repro.energy.scaling import VddPoint, sweep_vdd
-from repro.energy.wire_energy import (
-    DensityPoint,
-    energy_vs_density,
-    low_swing_energy_per_bit,
-)
 
 __all__ = [
     "BiasOverheadReport",
@@ -46,7 +40,6 @@ __all__ = [
     "compare_chip",
     "sweep_vdd",
     "CROSSPOINTS_5PORT",
-    "DensityPoint",
     "InterconnectDesign",
     "KIM2010_DRIVER_AREA",
     "LinkEnergyReport",
@@ -59,14 +52,11 @@ __all__ = [
     "bias_overhead",
     "datapath_share",
     "default_router_config",
-    "energy_vs_density",
     "full_swing_link_energy",
     "kim2010",
-    "low_swing_energy_per_bit",
     "mensink2010",
     "park2012",
     "seo2010",
-    "simulated_this_work_energy",
     "srlr_link_energy",
     "table1_designs",
     "this_work",

@@ -234,18 +234,6 @@ def table1_designs() -> list[InterconnectDesign]:
     return [mensink2010(), kim2010(False), kim2010(True), seo2010(), park2012(), this_work()]
 
 
-def simulated_this_work_energy() -> float:
-    """The reproduction's own measured link energy in fJ/bit/cm.
-
-    Runs the calibrated robust design through the circuit-level energy
-    accounting (exact wire-charge integral + repeater internals) at the
-    published activity.
-    """
-    from repro.energy.link_energy import srlr_link_energy
-
-    return srlr_link_energy().fj_per_bit_per_cm
-
-
 __all__ = [
     "InterconnectDesign",
     "KIM2010_DRIVER_AREA",
@@ -253,7 +241,6 @@ __all__ = [
     "mensink2010",
     "park2012",
     "seo2010",
-    "simulated_this_work_energy",
     "table1_designs",
     "this_work",
 ]

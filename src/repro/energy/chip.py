@@ -37,15 +37,6 @@ class ChipNocPower:
     def datapath_fraction(self) -> float:
         return self.datapath / self.total if self.total > 0 else 0.0
 
-    def share_of_budget(self, chip_budget_w: float) -> float:
-        """NoC power as a fraction of a total chip power budget."""
-        if chip_budget_w <= 0.0:
-            raise ConfigurationError(
-                f"chip_budget_w must be positive, got {chip_budget_w}"
-            )
-        return self.total / chip_budget_w
-
-
 def chip_noc_power(
     k: int,
     utilization: float = 0.3,

@@ -31,14 +31,6 @@ class VddPoint:
     energy_fj_per_bit_per_mm: float
     swing: float
 
-    @property
-    def energy_delay_metric(self) -> float:
-        """Energy per bit-mm times the minimum bit time (aJ*ps-ish units)."""
-        if self.max_data_rate <= 0.0:
-            return float("inf")
-        return self.energy_fj_per_bit_per_mm / (self.max_data_rate / 1e9)
-
-
 def sweep_vdd(
     vdds: list[float],
     swing_fraction: float | None = None,

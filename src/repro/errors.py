@@ -22,14 +22,7 @@ class ExecutionError(ReproError):
 class TaskTimeoutError(ExecutionError):
     """A task exceeded its per-task wall-clock budget.
 
-    Raised inside the worker by the soft (``SIGALRM``) timeout, or by the
-    executor in strict mode when the watchdog had to kill a hung chunk."""
-
-
-class WorkerCrashError(ExecutionError):
-    """A worker process died (``os._exit``, OOM kill, segfault) while
-    holding tasks.  Raised only in strict mode; the resilient path
-    respawns the pool and re-enqueues the in-flight work instead."""
+    Raised inside the worker by the soft (``SIGALRM``) timeout."""
 
 
 class CheckpointError(ConfigurationError):

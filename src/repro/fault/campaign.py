@@ -618,7 +618,7 @@ class FaultCampaignResult:
     """All points of one campaign, in task order.
 
     Points whose simulation task exhausted its retry budget under a
-    non-strict :class:`~repro.runtime.ResilienceConfig` are absent from
+    :class:`~repro.runtime.ResilienceConfig` are absent from
     ``points`` and recorded in ``failures`` instead (``point()`` raises
     for them).
     """
@@ -669,8 +669,8 @@ def run_fault_campaign(
     :class:`~repro.errors.ConfigurationError`).  An executor with a
     :class:`~repro.runtime.ResilienceConfig` opts points into the
     fault-tolerant task layer: timeouts, deterministic retries,
-    worker-crash recovery, and (unless ``strict=True``) quarantine of
-    points that exhaust their budget into ``result.failures``.
+    worker-crash recovery, and quarantine of points that exhaust their
+    budget into ``result.failures``.
     ``checkpoint``/``resume`` persist each completed point to a
     crash-safe JSONL store bound to this exact campaign configuration —
     a campaign killed mid-run resumes to the bitwise result of an

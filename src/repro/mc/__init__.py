@@ -4,15 +4,8 @@ from repro.mc.ber import (
     BerMeasurement,
     ber_upper_bound,
     ber_upper_bound_many,
-    ber_vs_rate,
     measure_ber,
     q_factor_ber,
-)
-from repro.mc.error_stats import (
-    ErrorStats,
-    burst_lengths,
-    collect_error_stats,
-    compare_error_structure,
 )
 from repro.mc.engine import (
     ImmunityRatio,
@@ -33,20 +26,15 @@ from repro.mc.yield_analysis import (
 
 __all__ = [
     "BerMeasurement",
-    "ErrorStats",
     "ImmunityRatio",
     "simulate_die",
     "simulate_dies",
-    "burst_lengths",
-    "collect_error_stats",
-    "compare_error_structure",
     "McResult",
     "McRun",
     "SwingSweep",
     "SwingSweepPoint",
     "ber_upper_bound",
     "ber_upper_bound_many",
-    "ber_vs_rate",
     "default_stress_pattern",
     "design_variants",
     "immunity_ratio",

@@ -137,29 +137,6 @@ def measure_ber(
     return BerMeasurement(transmitted=n_bits, errors=errors, confidence=confidence)
 
 
-def ber_vs_rate(
-    link: SRLRLink,
-    rates: list[float],
-    n_bits: int = 20_000,
-    noise_sigma: float = 0.004,
-    seed: int = 45,
-) -> list[tuple[float, BerMeasurement]]:
-    """BER waterfall: measure the link across data rates.
-
-    Reproduces the bathtub behind "up to 4.1 Gb/s with BER < 1e-9": below
-    the maximum rate errors vanish; above it the repeaters' reset dead time
-    and ISI make the BER climb steeply.
-    """
-    out = []
-    for rate in rates:
-        if rate <= 0.0:
-            raise ConfigurationError(f"rates must be positive, got {rate}")
-        out.append(
-            (rate, measure_ber(link, 1.0 / rate, n_bits, noise_sigma, seed=seed))
-        )
-    return out
-
-
 def q_factor_ber(margin: float, noise_sigma: float) -> float:
     """Analytic Gaussian-noise BER for a voltage ``margin`` (Q-function).
 
@@ -179,7 +156,6 @@ __all__ = [
     "BerMeasurement",
     "ber_upper_bound",
     "ber_upper_bound_many",
-    "ber_vs_rate",
     "measure_ber",
     "q_factor_ber",
 ]

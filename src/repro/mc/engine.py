@@ -105,9 +105,8 @@ class McResult:
     design: SRLRDesignParams
     runs: list[McRun] = field(default_factory=list)
     #: Dies whose *simulation task* exhausted its retry budget under a
-    #: non-strict :class:`~repro.runtime.ResilienceConfig` (not signaling
-    #: failures — those are ordinary ``runs`` with ``ok=False``).  Empty
-    #: on the default strict-less path.
+    #: :class:`~repro.runtime.ResilienceConfig` (not signaling failures —
+    #: those are ordinary ``runs`` with ``ok=False``).  Empty without one.
     failures: list[TaskFailure] = field(default_factory=list)
 
     @classmethod
@@ -121,10 +120,6 @@ class McResult:
             runs=[v for v in values if not isinstance(v, TaskFailure)],
             failures=[v for v in values if isinstance(v, TaskFailure)],
         )
-
-    @property
-    def n_task_failures(self) -> int:
-        return len(self.failures)
 
     @property
     def n_runs(self) -> int:
@@ -228,8 +223,8 @@ def run_monte_carlo(
     it (passing both is a :class:`~repro.errors.ConfigurationError`) and
     carries everything else about execution: a ``progress`` hook, or a
     :class:`~repro.runtime.ResilienceConfig` (per-die timeouts,
-    deterministic retries, worker-crash recovery) under which, with
-    ``strict=False``, dies whose task exhausted its budget land in
+    deterministic retries, worker-crash recovery) under which dies
+    whose task exhausted its budget land in
     :attr:`McResult.failures` instead of aborting the campaign.
     ``cache`` (a :class:`~repro.runtime.ResultCache`) skips the whole
     block when an entry keyed by (design, pattern, seeds, ...) already

@@ -14,9 +14,10 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.circuit.bias import FixedSwingReference, fixed_for_amplitude
+from repro.circuit.bias import fixed_for_amplitude
 from repro.circuit.delay_cell import single_plan
 from repro.circuit.srlr import (
+    DEFAULT_NOMINAL_SWING,
     SRLRDesignParams,
     _nmos_amplitude_for_swing,
     robust_design,
@@ -47,18 +48,18 @@ def design_variants(
     * ``no_adaptive`` — robust with a fixed Vref rail;
     * ``no_nmos_driver`` — straightforward driver/reference but with
       alternating delay cells (isolates the driver's contribution).
+
+    Every variant is built for one swing, ``nominal_swing`` (default
+    :data:`~repro.circuit.srlr.DEFAULT_NOMINAL_SWING`).
     """
     tech = tech or tech_45nm_soi()
-    kwargs = {} if nominal_swing is None else {"nominal_swing": nominal_swing}
-    robust = robust_design(tech, **kwargs)
-    straightforward = straightforward_design(tech, **kwargs)
+    swing = DEFAULT_NOMINAL_SWING if nominal_swing is None else nominal_swing
+    robust = robust_design(tech, nominal_swing=swing)
+    straightforward = straightforward_design(tech, nominal_swing=swing)
     # Fixed reference delivering the same nominal amplitude as the robust
     # design's adaptive reference does at TT.
     amplitude = _nmos_amplitude_for_swing(
-        tech,
-        nominal_swing if nominal_swing is not None else 0.27,
-        robust.driver,
-        robust.segment_length,
+        tech, swing, robust.driver, robust.segment_length
     )
     return {
         "robust": robust,

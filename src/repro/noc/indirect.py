@@ -101,15 +101,6 @@ def clos_point(
     )
 
 
-def locality_sweep(
-    k: int, localities: list[float]
-) -> list[tuple[TopologyPoint, TopologyPoint]]:
-    """(mesh, clos) cost pairs across the locality axis."""
-    if not localities:
-        raise ConfigurationError("localities must not be empty")
-    return [(mesh_point(k, a), clos_point(k, a)) for a in localities]
-
-
 def crossover_locality(k: int, tolerance: float = 1e-3) -> float:
     """The locality above which the mesh's energy beats the Clos's.
 
@@ -135,7 +126,6 @@ __all__ = [
     "TopologyPoint",
     "clos_point",
     "crossover_locality",
-    "locality_sweep",
     "mesh_average_hops",
     "mesh_point",
 ]

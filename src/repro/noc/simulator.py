@@ -289,17 +289,7 @@ class NocSimulator:
 
         # Stop generating, drain what's in flight — through the explicit
         # drain protocol (DrainableTraffic) every traffic source shares.
-        # Ad-hoc generators without the protocol fall back to the legacy
-        # rate-parking behavior.
-        if hasattr(self.traffic, "begin_drain"):
-            self.traffic.begin_drain()
-            end_drain = self.traffic.end_drain
-        else:
-            rate, self.traffic.injection_rate = self.traffic.injection_rate, 0.0
-
-            def end_drain() -> None:
-                self.traffic.injection_rate = rate
-
+        self.traffic.begin_drain()
         try:
             last_signature = None
             stalled_for = 0
@@ -348,7 +338,7 @@ class NocSimulator:
                     f"far); {self._drain_diagnostic()}"
                 )
         finally:
-            end_drain()
+            self.traffic.end_drain()
         return self.stats
 
     # --- drain bookkeeping ------------------------------------------------------------

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
-
 
 @dataclass
 class DeliveryRecord:
@@ -102,15 +100,6 @@ class NocStats:
         if not measured:
             return float("nan")
         return sum(d.latency for d in measured) / len(measured)
-
-    def latency_percentile(self, pct: float) -> float:
-        if not 0.0 <= pct <= 100.0:
-            raise ConfigurationError(f"pct must lie in [0, 100], got {pct}")
-        measured = sorted(d.latency for d in self._measured())
-        if not measured:
-            return float("nan")
-        idx = min(int(len(measured) * pct / 100.0), len(measured) - 1)
-        return float(measured[idx])
 
     def throughput(self, n_nodes: int) -> float:
         """Delivered (packet, dest) pairs per node per cycle in the window."""

@@ -15,18 +15,20 @@ Two interchangeable on-disk forms:
 * **JSON** (``save``/``load``): portable, diffable, carries the topology
   spec inline.
 * **Text lines** (``save_text``/``load_text``): the gem5/Netrace-style
-  ingestion format — one packet per line,
+  ingestion format — header directives, then one packet per line,
 
   .. code-block:: text
 
      # comment
      topology torus k=4
+     flit_bits 32
      <cycle> <src_x>,<src_y> <dx,dy[;dx,dy...]> <size_flits> [hexword ...]
 
-  with one optional hex payload word per flit (LSB = wire 0).  Text
-  traces are parsed **streaming**: :func:`iter_trace_text` yields entries
-  line by line in constant memory, so multi-million-packet dumps ingest
-  without materializing the file.
+  with one optional hex payload word per flit (LSB = wire 0).  A trace
+  without the ``flit_bits`` directive (an external dump) has 64-bit
+  flits.  Text traces are parsed **streaming**: :func:`iter_trace_text`
+  yields entries line by line in constant memory, so multi-million-packet
+  dumps ingest without materializing the file.
 
 Traces are content-addressed: :meth:`TraceTraffic.content_hash` is a
 stable digest of the topology spec and every entry (payload included),
@@ -141,35 +143,57 @@ def _parse_header(line: str) -> dict:
     return spec
 
 
-def iter_trace_text(path: str | Path) -> Iterator[dict | TraceEntry]:
-    """Stream a text trace: the topology spec dict first, then entries.
+def _parse_flit_bits(line: str) -> int:
+    """Parse a ``flit_bits <n>`` header directive."""
+    try:
+        _, value = line.split()
+        return int(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed flit_bits directive: {line!r}") from exc
 
+
+def iter_trace_text(path: str | Path) -> Iterator[dict | TraceEntry]:
+    """Stream a text trace: the header dict first, then entries.
+
+    The header is ``{"topology": <build_topology spec>, "flit_bits": n}``,
+    from the ``topology`` directive and the optional ``flit_bits``
+    directive (64 when absent); both precede the first entry.
     Constant-memory: one line is parsed at a time, so arbitrarily large
     dumps ingest without loading the file.  Blank lines and ``#``
-    comments are skipped; the ``topology`` directive must precede the
-    first entry.
+    comments are skipped.
     """
-    spec: dict | None = None
+    header: dict = {"topology": None, "flit_bits": 64}
+    seen: set[str] = set()
+    in_header = True
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("topology "):
-                if spec is not None:
+            name = line.split(maxsplit=1)[0]
+            if name in ("topology", "flit_bits"):
+                if name in seen:
+                    raise ConfigurationError(f"duplicate {name} directive in {path}")
+                if not in_header:
                     raise ConfigurationError(
-                        f"duplicate topology directive in {path}"
+                        f"{path}: {name} directive after the first entry"
                     )
-                spec = _parse_header(line)
-                yield spec
+                seen.add(name)
+                parse = _parse_header if name == "topology" else _parse_flit_bits
+                header[name] = parse(line)
                 continue
-            if spec is None:
-                raise ConfigurationError(
-                    f"{path}: trace entries before the topology directive"
-                )
+            if in_header:
+                if header["topology"] is None:
+                    raise ConfigurationError(
+                        f"{path}: trace entries before the topology directive"
+                    )
+                in_header = False
+                yield header
             yield parse_trace_line(line)
-    if spec is None:
+    if header["topology"] is None:
         raise ConfigurationError(f"{path}: no topology directive found")
+    if in_header:
+        yield header
 
 
 @dataclass
@@ -322,10 +346,6 @@ class TraceTraffic:
     def n_packets(self) -> int:
         return len(self.entries)
 
-    @property
-    def last_cycle(self) -> int:
-        return max((e.cycle for e in self.entries), default=0)
-
     # --- identity ----------------------------------------------------------------------
 
     def content_hash(self) -> str:
@@ -415,33 +435,31 @@ class TraceTraffic:
         for key, value in spec.items():
             header += f" {key}={value}"
         with open(path, "w") as fh:
-            fh.write(f"# noc-trace/v1 text format, flit_bits={self.flit_bits}\n")
+            fh.write("# noc-trace/v1 text format\n")
             fh.write(header + "\n")
+            fh.write(f"flit_bits {self.flit_bits}\n")
             for entry in self.entries:
                 fh.write(format_trace_line(entry) + "\n")
 
     @classmethod
-    def load_text(
-        cls, path: str | Path, flit_bits: int = 64
-    ) -> "TraceTraffic":
+    def load_text(cls, path: str | Path) -> "TraceTraffic":
         """Ingest a text trace via the streaming line parser."""
         stream = iter_trace_text(path)
-        spec = next(stream)
-        topology = topology_from_spec(spec)
+        header = next(stream)
         return cls(
-            topology=topology,
+            topology=topology_from_spec(header["topology"]),
             entries=list(stream),
-            flit_bits=flit_bits,
+            flit_bits=header["flit_bits"],
         )
 
     @classmethod
-    def load_any(cls, path: str | Path, flit_bits: int = 64) -> "TraceTraffic":
+    def load_any(cls, path: str | Path) -> "TraceTraffic":
         """Load a trace file in either format (sniffed, not by suffix)."""
         with open(path) as fh:
             head = fh.read(1)
         if head == "{":
             return cls.load(path)
-        return cls.load_text(path, flit_bits=flit_bits)
+        return cls.load_text(path)
 
 
 #: resolved path -> ((size, mtime_ns), parsed trace): the one trace-file

@@ -24,7 +24,7 @@ processes.  The contract that everything else in the repo leans on:
   killed by the OS) respawns the pool and re-enqueues only the in-flight
   work, and a task that exhausts its budget yields a structured
   :class:`~repro.runtime.TaskFailure` in its result slot instead of
-  aborting the campaign (``strict=True`` restores abort semantics).
+  aborting the campaign.
   See docs/RESILIENCE.md.
 
 Chunking amortizes pickling: items are split into ``chunk_size`` blocks
@@ -59,14 +59,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-from repro.errors import (
-    ConfigurationError,
-    ExecutionError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigurationError
 from repro.runtime.metrics import ProgressHook, RunMetrics
 from repro.runtime.resilience import (
+    WATCHDOG_POLL,
     ResilienceConfig,
     TaskFailure,
     TaskOutcome,
@@ -160,9 +156,9 @@ class ParallelExecutor:
     ) -> list[Any]:
         """``[fn(x) for x in items]``, possibly across processes.
 
-        With :attr:`resilience` set and ``strict=False``, slots whose
-        task exhausted its retry budget hold a
-        :class:`~repro.runtime.TaskFailure` instead of a value.
+        With :attr:`resilience` set, slots whose task exhausted its retry
+        budget hold a :class:`~repro.runtime.TaskFailure` instead of a
+        value.
         """
         return self._map(fn, partial(_run_chunk, fn), fn, items, on_result)
 
@@ -284,7 +280,7 @@ class ParallelExecutor:
                     run_one_resilient(fn, start + j, item, config)
                     for j, item in enumerate(chunk)
                 ]
-                block = [self._settle(out, metrics, config) for out in outcomes]
+                block = [self._settle(out, metrics) for out in outcomes]
                 n_failures = sum(1 for out in outcomes if not out.ok)
             results.extend(block)
             indices = list(range(start, start + len(chunk)))
@@ -295,10 +291,10 @@ class ParallelExecutor:
         self,
         outcome: TaskOutcome,
         metrics: RunMetrics,
-        config: ResilienceConfig,
         prior_attempts: int = 0,
     ) -> Any:
-        """Turn one worker outcome into a result-slot value (or raise).
+        """Turn one worker outcome into a result-slot value: the task's
+        value, or its :class:`~repro.runtime.TaskFailure`.
 
         ``prior_attempts`` were burned by earlier crashes/hangs and were
         already counted as retries at re-enqueue time; only the
@@ -309,23 +305,7 @@ class ParallelExecutor:
             timeouts=outcome.timeouts,
             quarantined=0 if outcome.ok else 1,
         )
-        if outcome.ok:
-            return outcome.value
-        failure = outcome.failure
-        if config.strict:
-            raise self._strict_error(failure)
-        return failure
-
-    @staticmethod
-    def _strict_error(failure: TaskFailure) -> ExecutionError:
-        detail = failure.summary()
-        if failure.traceback:
-            detail += "\n" + failure.traceback
-        if failure.kind == "timeout":
-            return TaskTimeoutError(detail)
-        if failure.kind in ("crash", "hang"):
-            return WorkerCrashError(detail)
-        return ExecutionError(detail)
+        return outcome.value if outcome.ok else outcome.failure
 
     def _map_processes(
         self,
@@ -426,8 +406,6 @@ class ParallelExecutor:
                         kind=kind,
                     )
                     metrics.note_resilience(quarantined=1)
-                    if config.strict:
-                        raise self._strict_error(failure)
                     results[i] = failure
                     filled[i] = True
                     self._deliver([i], [failure], 1, None, metrics, on_result)
@@ -448,7 +426,7 @@ class ParallelExecutor:
                 if not inflight:
                     submit_ready()
                     continue
-                timeout = config.watchdog_poll if hard is not None else None
+                timeout = WATCHDOG_POLL if hard is not None else None
                 done, _ = wait(
                     set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
@@ -469,7 +447,6 @@ class ParallelExecutor:
                             self._settle(
                                 outcome,
                                 metrics,
-                                config,
                                 prior_attempts=task.attempts.get(outcome.index, 0),
                             )
                             for outcome in out

@@ -96,12 +96,6 @@ class RunMetrics:
             return float("inf")
         return self.completed_tasks / self.wall_time
 
-    @property
-    def fraction_done(self) -> float:
-        if self.total_tasks <= 0:
-            return 1.0
-        return self.completed_tasks / self.total_tasks
-
     def summary(self) -> str:
         fallback = (
             f", serial fallback: {self.fallback_reason}"

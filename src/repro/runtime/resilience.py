@@ -10,13 +10,13 @@ loses the entire run.  :class:`ResilienceConfig` opts a ``map`` into:
   inside the worker; expiry raises :class:`repro.errors.TaskTimeoutError`
   and counts as a failed attempt;
 * **deterministic bounded retries** — a failed attempt is re-run up to
-  ``max_retries`` times with exponential backoff.  Tasks carry their own
+  ``max_retries`` times with a fixed exponential backoff.  Tasks carry their own
   content-addressed seeds (:mod:`repro.runtime.seeds`), so a retry
   re-evaluates exactly the same pure function of the item and the final
   results are bitwise identical to a clean run;
 * **quarantine** — a task that exhausts its attempts yields a structured
   :class:`TaskFailure` record in its result slot instead of aborting the
-  campaign (``strict=True`` restores abort-on-failure).
+  campaign.
 
 The executor adds the parts that need the parent process: a watchdog
 that hard-kills chunks whose workers hang past the soft timeout (e.g.
@@ -45,6 +45,16 @@ from repro.errors import TaskTimeoutError
 #: Failure categories carried by :attr:`TaskFailure.kind`.
 FAILURE_KINDS = ("exception", "timeout", "crash", "hang")
 
+#: Retry ``k`` (1-based) sleeps ``min(BACKOFF_MAX, BACKOFF_BASE *
+#: BACKOFF_FACTOR**(k-1))`` seconds.  Deterministic — no jitter — so
+#: retried runs stay reproducible.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+
+#: Parent-side poll interval while hard deadlines are armed, seconds.
+WATCHDOG_POLL = 0.05
+
 
 @dataclass(frozen=True)
 class TaskFailure:
@@ -55,7 +65,7 @@ class TaskFailure:
     """
 
     index: int  # position within the mapped items
-    error_type: str  # exception class name ("WorkerCrashError" for crashes)
+    error_type: str  # exception class name; "WorkerCrashError" for crashes
     message: str
     traceback: str  # formatted worker-side traceback ("" for crashes/hangs)
     attempts: int  # total attempts spent, crashes included
@@ -77,35 +87,17 @@ class ResilienceConfig:
     timeout:
         Soft per-task wall-clock budget in seconds, enforced by
         ``SIGALRM`` inside the worker (``None`` disables).  Platforms
-        without ``SIGALRM`` fall back to the watchdog alone.
-    hard_timeout:
-        Per-task budget after which the parent watchdog assumes the
-        worker is unrecoverably hung and kills the pool.  Defaults to
-        ``4 * timeout``; a chunk of ``n`` tasks gets ``n *`` this budget.
+        without ``SIGALRM`` fall back to the watchdog alone.  The parent
+        watchdog kills the pool once a task runs past ``4 * timeout``
+        (a chunk of ``n`` tasks gets ``n *`` this budget).
     max_retries:
         Extra attempts after the first, per task.  Worker-side failures
         (exception, soft timeout) and parent-side ones (crash, hang)
         draw from the same budget.
-    backoff_base / backoff_factor / backoff_max:
-        Attempt ``k`` (1-based) sleeps
-        ``min(backoff_max, backoff_base * backoff_factor**(k-1))`` before
-        retrying.  Deterministic — no jitter — so retried runs stay
-        reproducible.
-    strict:
-        ``True`` restores abort-the-campaign semantics: the first task
-        to exhaust its budget raises instead of quarantining.
-    watchdog_poll:
-        Parent-side poll interval while hard deadlines are armed.
     """
 
     timeout: float | None = checked(None, interval="(0, inf)")
-    hard_timeout: float | None = checked(None, interval="(0, inf)")
     max_retries: int = checked(2, interval="[0, inf)")
-    backoff_base: float = checked(0.05, interval="[0, inf)")
-    backoff_factor: float = checked(2.0, interval="[1, inf)")
-    backoff_max: float = checked(2.0, interval="[0, inf)")
-    strict: bool = False
-    watchdog_poll: float = checked(0.05, interval="(0, inf)")
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -115,17 +107,16 @@ class ResilienceConfig:
         """Total attempts a task may spend (first try + retries)."""
         return self.max_retries + 1
 
-    def backoff(self, attempt: int) -> float:
-        """Sleep before retrying after ``attempt`` failed attempts."""
-        return min(self.backoff_max, self.backoff_base * self.backoff_factor ** (attempt - 1))
-
     def hard_limit(self) -> float | None:
         """Per-task hard (watchdog) budget in seconds, or ``None``."""
-        if self.hard_timeout is not None:
-            return self.hard_timeout
-        if self.timeout is not None:
-            return 4.0 * self.timeout
-        return None
+        if self.timeout is None:
+            return None
+        return 4.0 * self.timeout
+
+
+def backoff(attempt: int) -> float:
+    """Sleep before retrying after ``attempt`` failed attempts."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
 
 
 @dataclass(frozen=True)
@@ -211,7 +202,7 @@ def run_one_resilient(
                 return TaskOutcome(
                     index=index, attempts=attempts, timeouts=timeouts, failure=failure
                 )
-        time.sleep(config.backoff(attempts))
+        time.sleep(backoff(attempts))
 
 
 def run_chunk_resilient(

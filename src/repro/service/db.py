@@ -608,12 +608,6 @@ class CampaignDB:
             raise ServiceError(f"no campaign named {name!r} in {self.path}")
         return row["id"], row["kind"], json.loads(row["config"])
 
-    def campaign_names(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT name FROM campaigns ORDER BY id"
-        ).fetchall()
-        return [r["name"] for r in rows]
-
     def status(self, name: str | None = None) -> list[CampaignStatus]:
         where, args = ("WHERE c.name=?", (name,)) if name else ("", ())
         rows = self._conn.execute(

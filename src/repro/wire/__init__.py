@@ -7,10 +7,8 @@ Replaces SPICE-level wire simulation with an exact linear-network solver
 from repro.wire.attenuation import (
     AttenuationTable,
     PulseTransfer,
-    ReceivedPulse,
     attenuation_table,
     log_quantize,
-    pulse_transfer,
 )
 from repro.wire.coupled import CoupledPair, CoupledSolver
 from repro.wire.elmore import (
@@ -35,7 +33,6 @@ __all__ = [
     "log_quantize",
     "LadderNetwork",
     "PulseTransfer",
-    "ReceivedPulse",
     "RepeaterDesign",
     "TransientSolver",
     "WireGeometry",
@@ -44,7 +41,6 @@ __all__ = [
     "elmore_delay",
     "full_swing_energy_per_bit",
     "optimal_repeaters",
-    "pulse_transfer",
     "reference_segment",
     "repeated_wire_delay",
     "unit_inverter_c",

@@ -6,10 +6,8 @@ end sees a low-swing pulse (~200 mV from a ~0.5 V drive level) without any
 second supply voltage (Section I/II of the paper).
 
 :class:`PulseTransfer` characterizes one (wire, driver, load) combination:
-it builds the exact pi-ladder transient solver once, then answers peak
-swing / arrival time / output width queries for arbitrary input pulses by
-sampling the closed-form mode sum.  Instances are cached so Monte Carlo
-loops don't rebuild eigendecompositions.
+it builds the exact pi-ladder transient solver once, then samples the
+closed-form mode sum for the response to a rectangular input pulse.
 
 :class:`AttenuationTable` samples that solver on a grid of widths, once
 per (wire, quantized driver) pair: one two-node response (drive node and
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,26 +30,6 @@ from repro.tech.technology import Technology
 from repro.wire.ladder import DEFAULT_SECTIONS, build_ladder
 from repro.wire.rc import WireGeometry, WireSegment
 from repro.wire.transient import TransientSolver, check_pulse_width
-
-
-@dataclass(frozen=True)
-class ReceivedPulse:
-    """Shape summary of the pulse observed at the far end of a wire.
-
-    Attributes
-    ----------
-    peak:
-        Peak voltage, volts.
-    t_peak:
-        Time of the peak relative to the launch of the input pulse, seconds.
-    width:
-        Full width of the interval where the waveform exceeds half its
-        peak, seconds.
-    """
-
-    peak: float
-    t_peak: float
-    width: float
 
 
 class PulseTransfer:
@@ -94,33 +71,6 @@ class PulseTransfer:
         """(times, far-node voltage) response to a rectangular input pulse."""
         times, v = self.waveforms(width, amplitude, [self.far_node])
         return times, v[:, 0]
-
-    def received(self, width: float, amplitude: float) -> ReceivedPulse:
-        """Peak / arrival / half-max width of the far-end pulse."""
-        times, v = self.far_end_waveform(width, amplitude)
-        i_peak = int(np.argmax(v))
-        peak = float(v[i_peak])
-        if peak <= 0.0:
-            return ReceivedPulse(peak=0.0, t_peak=float(times[i_peak]), width=0.0)
-        above = v >= 0.5 * peak
-        idx = np.flatnonzero(above)
-        width_out = float(times[idx[-1]] - times[idx[0]]) if len(idx) else 0.0
-        return ReceivedPulse(peak=peak, t_peak=float(times[i_peak]), width=width_out)
-
-    def peak_ratio(self, width: float) -> float:
-        """Far-end peak as a fraction of the drive amplitude (attenuation)."""
-        return self.received(width, 1.0).peak
-
-    def delay_50(self, amplitude: float = 1.0) -> float:
-        """50% step-response delay at the far end (classic wire delay)."""
-        tau = self.solver.slowest_time_constant
-        times = np.linspace(0.0, 10.0 * tau, 3000)
-        v = self.solver.step_response(times, amplitude, [self.far_node])[:, 0]
-        target = 0.5 * amplitude
-        idx = np.searchsorted(v, target)
-        if idx >= len(times):
-            return float(times[-1])
-        return float(times[idx])
 
 
 class AttenuationTable:
@@ -314,44 +264,4 @@ def attenuation_table(
         r_drive,
         c_load,
         r_decay,
-    )
-
-
-@lru_cache(maxsize=64)
-def _cached_transfer(
-    tech: Technology,
-    width: float,
-    space: float,
-    length: float,
-    n_neighbors: int,
-    r_drive: float,
-    c_load: float,
-    n_sections: int,
-) -> PulseTransfer:
-    segment = WireSegment(tech, WireGeometry(width, space), length, n_neighbors)
-    return PulseTransfer(segment, r_drive, c_load, n_sections)
-
-
-def pulse_transfer(
-    segment: WireSegment,
-    r_drive: float,
-    c_load: float = 0.0,
-    n_sections: int = DEFAULT_SECTIONS,
-) -> PulseTransfer:
-    """Cached :class:`PulseTransfer` factory.
-
-    Technology objects are frozen dataclasses, so the full physical
-    configuration is hashable; repeated calls with identical parameters
-    (the common case inside sweeps and Monte Carlo) reuse one
-    eigendecomposition.
-    """
-    return _cached_transfer(
-        segment.tech,
-        segment.geometry.width,
-        segment.geometry.space,
-        segment.length,
-        segment.n_neighbors,
-        r_drive,
-        c_load,
-        n_sections,
     )

@@ -177,37 +177,3 @@ class TransientSolver:
         if np.any(falling):
             v[falling] -= self.step_response(times[falling] - width, amplitude, nodes)
         return v
-
-    def simulate_piecewise(
-        self,
-        breakpoints: list[tuple[float, float]],
-        t_end: float,
-        n_samples: int = 400,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Simulate a piecewise-constant input waveform.
-
-        ``breakpoints`` is a list of (start_time, level) pairs with strictly
-        increasing start times; the first start time must be 0.  Returns
-        (times, voltages) where voltages has shape (n_samples, n_nodes) on a
-        uniform grid over [0, t_end].
-        """
-        if not breakpoints:
-            raise ConfigurationError("breakpoints must not be empty")
-        starts = [t for t, _ in breakpoints]
-        if starts[0] != 0.0:
-            raise ConfigurationError("first breakpoint must start at t = 0")
-        if any(b >= a for a, b in zip(starts[1:], starts)):
-            raise ConfigurationError("breakpoint times must be strictly increasing")
-        if t_end <= starts[-1]:
-            raise ConfigurationError("t_end must exceed the last breakpoint time")
-
-        times = np.linspace(0.0, t_end, n_samples)
-        out = np.zeros((n_samples, self.network.n_nodes))
-        v = np.zeros(self.network.n_nodes)
-        bounds = starts[1:] + [t_end]
-        for (t0, level), t1 in zip(breakpoints, bounds):
-            mask = (times >= t0) & (times <= t1)
-            if np.any(mask):
-                out[mask] = self.evolve(v, level, times[mask] - t0)
-            v = self.evolve(v, level, np.array([t1 - t0]))[0]
-        return times, out

@@ -30,7 +30,6 @@ from repro.noc.trace import cached_trace, topology_spec
 from repro.noc.traffic import SyntheticTraffic
 from repro.workload.energy import (
     coupling_miller_fraction,
-    link_payload_energy,
     payload_datapath_energy,
 )
 from repro.workload.generators import (
@@ -148,6 +147,5 @@ __all__ = [
     "attach_payloads",
     "build_traffic",
     "coupling_miller_fraction",
-    "link_payload_energy",
     "payload_datapath_energy",
 ]

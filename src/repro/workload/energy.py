@@ -64,25 +64,6 @@ def coupling_miller_fraction() -> float:
     return (quiet - opposing) / quiet
 
 
-def link_payload_energy(
-    link, e_dp: float, flit_bits: int, coupling: bool = True
-) -> float:
-    """Datapath energy of one link's counted traversals, joules.
-
-    ``e_dp / flit_bits`` per toggled wire plus (when ``coupling``) the
-    Miller fraction per opposing adjacent pair.  The division is by a
-    power of two, so an all-toggle traversal prices float-exactly to
-    ``e_dp`` — the constant-model reduction the tests pin down.
-    """
-    if flit_bits < 1:
-        raise ConfigurationError(f"flit_bits must be >= 1, got {flit_bits}")
-    e_transition = e_dp / flit_bits
-    energy = e_transition * link.payload_transitions
-    if coupling and link.coupling_events:
-        energy += coupling_miller_fraction() * e_transition * link.coupling_events
-    return energy
-
-
 def payload_datapath_energy(
     links, e_dp: float, flit_bits: int, coupling: bool = True
 ) -> float:
@@ -127,6 +108,5 @@ def payload_datapath_energy(
 
 __all__ = [
     "coupling_miller_fraction",
-    "link_payload_energy",
     "payload_datapath_energy",
 ]

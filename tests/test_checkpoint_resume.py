@@ -309,7 +309,7 @@ def test_sweep_quarantined_point_not_checkpointed_and_retried_on_resume(tmp_path
     evaluate = functools.partial(_gated_eval, gate_dir=str(gate))
     path = tmp_path / "sweep.jsonl"
 
-    config = ResilienceConfig(max_retries=0, backoff_base=0.0)
+    config = ResilienceConfig(max_retries=0)
     broken = sweep_grid(
         SWEEP_AXIS,
         evaluate,
@@ -525,7 +525,7 @@ def test_quarantined_item_on_resume_reindexed_to_campaign_position(
     # pending subset, where the poison item sits at poison - 1.
     (gate / "open").unlink()
     resilient = ParallelExecutor(
-        resilience=ResilienceConfig(max_retries=0, backoff_base=0.0)
+        resilience=ResilienceConfig(max_retries=0)
     )
     broken = run(executor=resilient, checkpoint=path, resume=True)
     assert [f.index for f in broken.failures] == [poison]

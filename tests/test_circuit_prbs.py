@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.circuit import ErrorCounter, PrbsGenerator, worst_case_patterns
+from repro.circuit import PrbsGenerator, worst_case_patterns
 
 
 def test_prbs7_period_is_maximal():
@@ -61,32 +61,6 @@ def test_invalid_configuration_rejected():
         gen.bits(-1)
     with pytest.raises(ConfigurationError):
         gen.reset(seed=0)
-
-
-def test_error_counter_counts_mismatches():
-    counter = ErrorCounter()
-    n = counter.compare([1, 0, 1, 1], [1, 1, 1, 0])
-    assert n == 2
-    assert counter.transmitted == 4
-    assert counter.errors == 2
-    assert counter.bit_error_rate == pytest.approx(0.5)
-
-
-def test_error_counter_accumulates():
-    counter = ErrorCounter()
-    counter.compare([1, 1], [1, 1])
-    counter.compare([0, 0], [0, 1])
-    assert counter.transmitted == 4
-    assert counter.errors == 1
-
-
-def test_error_counter_empty_rate():
-    assert ErrorCounter().bit_error_rate == 0.0
-
-
-def test_error_counter_length_mismatch():
-    with pytest.raises(ConfigurationError):
-        ErrorCounter().compare([1], [1, 0])
 
 
 def test_worst_case_patterns_contain_11110():

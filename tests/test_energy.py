@@ -11,10 +11,8 @@ from repro.energy import (
     RouterPowerModel,
     bias_overhead,
     datapath_share,
-    energy_vs_density,
     full_swing_link_energy,
     kim2010,
-    low_swing_energy_per_bit,
     mensink2010,
     park2012,
     seo2010,
@@ -23,57 +21,9 @@ from repro.energy import (
     this_work,
 )
 from repro.tech import tech_45nm_soi
-from repro.units import MM, MW, UM
+from repro.units import MW, UM
 
 TECH = tech_45nm_soi()
-
-
-# --- wire energy ------------------------------------------------------------------------
-
-
-def test_low_swing_beats_full_swing(segment_1mm):
-    low = low_swing_energy_per_bit(segment_1mm, vswing=0.3)
-    full = low_swing_energy_per_bit(segment_1mm, vswing=TECH.vdd)
-    assert low == pytest.approx(full * 0.3 / TECH.vdd, rel=1e-9)
-
-
-def test_energy_linear_in_activity_and_swing(segment_1mm):
-    e1 = low_swing_energy_per_bit(segment_1mm, 0.3, activity=0.25)
-    e2 = low_swing_energy_per_bit(segment_1mm, 0.3, activity=0.5)
-    e3 = low_swing_energy_per_bit(segment_1mm, 0.6, activity=0.5)
-    assert e2 == pytest.approx(2 * e1)
-    assert e3 == pytest.approx(2 * e2)
-
-
-def test_miller_factor_scales_coupling_only(segment_1mm):
-    quiet = low_swing_energy_per_bit(segment_1mm, 0.3, miller_factor=0.0)
-    worst = low_swing_energy_per_bit(segment_1mm, 0.3, miller_factor=2.0)
-    ground_only = 0.5 * segment_1mm.c_ground_per_m * segment_1mm.length * 0.3 * TECH.vdd
-    assert quiet == pytest.approx(ground_only)
-    assert worst > quiet
-
-
-def test_energy_vs_density_tradeoff():
-    pitches = [0.4 * UM, 0.6 * UM, 1.2 * UM]
-    points = energy_vs_density(TECH, pitches, 4.1e9, 0.3, 10 * MM)
-    densities = [p.bandwidth_density for p in points]
-    energies = [p.energy_fj_per_bit_per_cm for p in points]
-    assert densities[0] > densities[1] > densities[2]  # tighter pitch, denser
-    assert energies[0] > energies[1] > energies[2]  # ...and more energy
-
-
-def test_differential_halves_density():
-    single = energy_vs_density(TECH, [0.6 * UM], 4.1e9, 0.3, 10 * MM, wires_per_signal=1)
-    diff = energy_vs_density(TECH, [0.6 * UM], 4.1e9, 0.3, 10 * MM, wires_per_signal=2)
-    assert diff[0].bandwidth_density == pytest.approx(single[0].bandwidth_density / 2)
-    assert diff[0].energy_fj_per_bit_per_cm > single[0].energy_fj_per_bit_per_cm
-
-
-def test_wire_energy_validation(segment_1mm):
-    with pytest.raises(ConfigurationError):
-        low_swing_energy_per_bit(segment_1mm, vswing=-0.1)
-    with pytest.raises(ConfigurationError):
-        low_swing_energy_per_bit(segment_1mm, 0.3, activity=2.0)
 
 
 # --- link energy ------------------------------------------------------------------------

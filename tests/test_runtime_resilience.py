@@ -21,12 +21,7 @@ import pytest
 
 from repro.analysis import sweep_grid
 from repro.circuit.srlr import robust_design
-from repro.errors import (
-    ConfigurationError,
-    ExecutionError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigurationError
 from repro.fault import run_fault_campaign
 from repro.mc import run_monte_carlo, sweep_swing
 from repro.runtime import (
@@ -36,6 +31,7 @@ from repro.runtime import (
     ResultCache,
     TaskFailure,
 )
+from repro.runtime.resilience import backoff
 
 POISON = 3
 ITEMS = list(range(8))
@@ -82,7 +78,7 @@ def _suicidal(x: int) -> int:
 
 
 def _fast_config(**overrides) -> ResilienceConfig:
-    base = dict(max_retries=1, backoff_base=0.0)
+    base = dict(max_retries=1)
     base.update(overrides)
     return ResilienceConfig(**base)
 
@@ -95,11 +91,11 @@ def _fast_config(**overrides) -> ResilienceConfig:
     [
         {"timeout": 0.0},
         {"timeout": -1.0},
-        {"hard_timeout": 0.0},
+        {"timeout": float("nan")},
         {"max_retries": -1},
-        {"backoff_base": -0.1},
-        {"backoff_factor": 0.5},
-        {"watchdog_poll": 0.0},
+        {"max_retries": 1.5},
+        {"max_retries": True},
+        {"timeout": "1"},
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -108,11 +104,15 @@ def test_config_rejects_invalid(kwargs):
 
 
 def test_backoff_is_deterministic_and_capped():
-    config = ResilienceConfig(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-    assert config.backoff(1) == pytest.approx(0.1)
-    assert config.backoff(2) == pytest.approx(0.2)
-    assert config.backoff(3) == pytest.approx(0.3)  # capped
-    assert config.backoff(10) == pytest.approx(0.3)
+    assert [backoff(k) for k in (1, 2, 3)] == [0.05, 0.1, 0.2]
+    assert backoff(6) == 1.6
+    assert backoff(7) == backoff(10) == 2.0  # capped
+
+
+def test_config_has_only_timeout_and_retries():
+    assert list(vars(ResilienceConfig())) == ["timeout", "max_retries"]
+    assert ResilienceConfig().hard_limit() is None
+    assert ResilienceConfig(timeout=0.25).hard_limit() == 1.0
 
 
 def test_task_failure_is_picklable():
@@ -234,7 +234,7 @@ def test_without_resilience_worker_death_propagates():
 
 
 def test_sigalrm_immune_hang_caught_by_watchdog():
-    config = _fast_config(timeout=0.2, hard_timeout=0.6)
+    config = _fast_config(timeout=0.2)  # watchdog deadline 4 * 0.2 s
     executor = ParallelExecutor(n_jobs=2, chunk_size=1, resilience=config)
     t0 = time.monotonic()
     out = executor.map(_hard_hang, ITEMS)
@@ -247,33 +247,6 @@ def test_sigalrm_immune_hang_caught_by_watchdog():
     assert [v for i, v in enumerate(out) if i != POISON] == [
         x * 2 for x in ITEMS if x != POISON
     ]
-
-
-# --- strict mode -----------------------------------------------------------------------
-
-
-def test_strict_mode_raises_instead_of_quarantining():
-    executor = ParallelExecutor(
-        n_jobs=1, resilience=_fast_config(strict=True)
-    )
-    with pytest.raises(ExecutionError, match="poison"):
-        executor.map(_boom, ITEMS)
-
-
-def test_strict_timeout_raises_task_timeout():
-    executor = ParallelExecutor(
-        n_jobs=1, chunk_size=1, resilience=_fast_config(timeout=0.2, strict=True)
-    )
-    with pytest.raises(TaskTimeoutError):
-        executor.map(_sleepy, ITEMS)
-
-
-def test_strict_crash_raises_worker_crash():
-    executor = ParallelExecutor(
-        n_jobs=2, chunk_size=1, resilience=_fast_config(strict=True)
-    )
-    with pytest.raises(WorkerCrashError):
-        executor.map(_suicidal, ITEMS)
 
 
 # --- drivers refuse execution knobs they would drop -----------------------------------

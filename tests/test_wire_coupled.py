@@ -69,8 +69,6 @@ def test_dynamic_miller_effect(pair):
 
 def test_in_phase_switching_approaches_uncoupled(pair, segment_1mm):
     """Neighbors moving together see no coupling current between them."""
-    from repro.wire import pulse_transfer
-
     in_phase = pair.victim_far_peak(150 * PS, 0.4, 0.4)
     # Reference: same line with coupling caps inactive (quiet = they
     # still load; in-phase = they do not).  In-phase must exceed quiet.

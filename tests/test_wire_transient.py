@@ -97,28 +97,6 @@ def test_evolve_continuity(segment_1mm):
     assert one_shot == pytest.approx(two_step, abs=1e-12)
 
 
-def test_simulate_piecewise_tracks_levels(segment_1mm):
-    solver = TransientSolver(build_ladder(segment_1mm, r_drive=300.0))
-    tau = solver.slowest_time_constant
-    times, v = solver.simulate_piecewise(
-        [(0.0, 1.0), (8 * tau, 0.0)], t_end=20 * tau, n_samples=200
-    )
-    far = v[:, -1]
-    i_high = np.searchsorted(times, 7.9 * tau)
-    assert far[i_high] == pytest.approx(1.0, abs=5e-3)
-    assert far[-1] == pytest.approx(0.0, abs=5e-3)
-
-
-def test_piecewise_validation(segment_1mm):
-    solver = TransientSolver(build_ladder(segment_1mm, r_drive=300.0))
-    with pytest.raises(ConfigurationError):
-        solver.simulate_piecewise([], t_end=1e-9)
-    with pytest.raises(ConfigurationError):
-        solver.simulate_piecewise([(1e-12, 1.0)], t_end=1e-9)
-    with pytest.raises(ConfigurationError):
-        solver.simulate_piecewise([(0.0, 1.0), (0.0, 0.0)], t_end=1e-9)
-
-
 def test_ladder_validation(segment_1mm):
     with pytest.raises(ConfigurationError):
         build_ladder(segment_1mm, r_drive=0.0)

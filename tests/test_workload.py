@@ -92,12 +92,37 @@ def test_trace_streaming_ingestion_is_lazy(tmp_path):
     path = tmp_path / "t.trace"
     trace.save_text(path)
     stream = iter_trace_text(path)
-    spec = next(stream)
-    assert spec == {"kind": "mesh", "k": 4}
+    header = next(stream)
+    assert header == {"topology": {"kind": "mesh", "k": 4}, "flit_bits": 64}
     first = next(stream)
     assert isinstance(first, TraceEntry)
     assert first == trace.entries[0]
     assert list(stream) == trace.entries[1:]
+
+
+def test_trace_text_keeps_flit_bits(tmp_path):
+    # The text form states its flit width in a header directive, so a
+    # 32-bit trace loads back 32 bits wide and hashes as its JSON copy.
+    source = build_traffic(_mesh(), "synthetic", injection_rate=0.1,
+                           payload_mode="random", flit_bits=32, seed=SEED)
+    trace = record_trace(source, 80)
+    assert trace.flit_bits == 32
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.trace"
+    trace.save(a)
+    trace.save_text(b)
+    assert cached_trace(b).flit_bits == 32
+    assert cached_trace(b).entries == trace.entries
+    assert trace_file_hash(a) == trace_file_hash(b) == trace.content_hash()
+
+
+def test_trace_text_without_flit_bits_directive_means_64(tmp_path):
+    path = tmp_path / "dump.trace"
+    path.write_text("topology mesh k=4\n0 0,0 1,1 1 ff\n")
+    assert TraceTraffic.load_text(path).flit_bits == 64
+    path.write_text("topology mesh k=4\n0 0,0 1,1 1\nflit_bits 32\n")
+    with pytest.raises(ConfigurationError, match="after the first entry"):
+        TraceTraffic.load_text(path)
 
 
 def test_trace_text_rejects_entries_before_header(tmp_path):
