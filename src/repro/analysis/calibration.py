@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import format_kv, format_table
+from repro.analysis.report import format_table
 from repro.circuit import SRLRLink, robust_design
 from repro.circuit.srlr import DEFAULT_NOMINAL_SWING
 from repro.energy import RouterPowerModel, srlr_link_energy
 from repro.mc.engine import default_stress_pattern
-from repro.units import GBPS, MM, MW
+from repro.units import GBPS, MW
 
 #: The calibration anchors: each row is (constant, value, what it was
 #: anchored to).  Everything not listed here is an emergent result.

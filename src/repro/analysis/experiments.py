@@ -48,7 +48,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.analysis.report import format_kv, format_table
 from repro.circuit import (
     NMOSDriver,
@@ -77,7 +76,6 @@ from repro.mc import (
     immunity_ratio,
     measure_ber,
     q_factor_ber,
-    run_monte_carlo,
     sweep_swing,
 )
 from repro.noc import (
@@ -913,7 +911,6 @@ def e15_crosstalk(
     density axis of Fig. 8 gains a robustness dimension).
     """
     from repro.circuit.srlr import DEFAULT_LAUNCH_WIDTH
-    from repro.tech.variation import nominal_sample
     from repro.wire.coupled import CoupledPair
     from repro.wire.rc import WireGeometry, WireSegment
 

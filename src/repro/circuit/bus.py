@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.circuit.link import SRLRLink, transmit_batch
 from repro.circuit.prbs import PrbsGenerator

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.tech.technology import Technology, tech_45nm_soi, tech_90nm_bulk
-from repro.units import FJ, GBPS, UM, fj_per_bit_per_cm, gbps_per_um
+from repro.units import GBPS, UM
 from repro.wire.rc import WireGeometry, WireSegment
 
 

@@ -20,7 +20,7 @@ from repro.circuit.bias import BIAS_GENERATOR_POWER
 from repro.circuit.link import SRLRLink
 from repro.circuit.srlr import SRLRDesignParams, robust_design
 from repro.tech.variation import VariationSample
-from repro.units import MM, fj_per_bit_per_cm, fj_per_bit_per_mm, gbps_per_um
+from repro.units import fj_per_bit_per_cm, fj_per_bit_per_mm, gbps_per_um
 from repro.wire.elmore import full_swing_energy_per_bit as repeated_full_swing_energy
 from repro.wire.rc import reference_segment
 

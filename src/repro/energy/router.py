@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.tech.technology import Technology, tech_45nm_soi
-from repro.units import FJ, MM, UM
+from repro.units import FJ, MM
 from repro.energy.link_energy import srlr_link_energy
 from repro.wire.elmore import full_swing_energy_per_bit as fs_repeated_energy
 from repro.wire.rc import reference_segment

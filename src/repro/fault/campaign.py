@@ -504,81 +504,86 @@ def _evaluate_point(
 
     livelocked = False
     try:
-        sim.run(
-            warmup=config.warmup,
-            measure=config.measure,
-            drain_limit=config.drain_limit,
-            stall_window=config.stall_window,
+        try:
+            sim.run(
+                warmup=config.warmup,
+                measure=config.measure,
+                drain_limit=config.drain_limit,
+                stall_window=config.stall_window,
+            )
+        except LivelockError:
+            livelocked = True
+
+        stats, fstats = sim.stats, layer.stats
+        window = config.measure
+        # Goodput normalizes per *endpoint* (= per router on the flat mesh
+        # and torus, per core elsewhere).
+        n_nodes = len(topology.endpoints())
+
+        if protocol == "e2e":
+            # Completed transfers whose first injection fell in the window.
+            records = [
+                r
+                for r in fstats.transfer_records
+                if stats.measure_start <= r.first_inject < stats.measure_end
+            ]
+            clean = sum(len(r.dests) for r in records)
+            latencies = [r.latency for r in records]
+            useful = [(r.src, d) for r in records for d in r.dests]
+        else:
+            measured = stats.clean_measured()
+            clean = len(measured)
+            latencies = [r.latency for r in measured]
+            useful = None
+
+        report = price_fault_run(
+            stats,
+            fstats,
+            sim.topology,
+            protection,
+            size_flits=config.size_flits,
+            datapath=config.datapath,
+            n_cycles=sim.cycle,
+            useful_deliveries=useful,
+            links=sim.links,
+            coupling=config.coupling,
         )
-    except LivelockError:
-        livelocked = True
-
-    stats, fstats = sim.stats, layer.stats
-    window = config.measure
-    # Goodput normalizes per *endpoint* (= per router on the flat mesh
-    # and torus, per core elsewhere).
-    n_nodes = len(topology.endpoints())
-
-    if protocol == "e2e":
-        # Completed transfers whose first injection fell in the window.
-        records = [
-            r
-            for r in fstats.transfer_records
-            if stats.measure_start <= r.first_inject < stats.measure_end
-        ]
-        clean = sum(len(r.dests) for r in records)
-        latencies = [r.latency for r in records]
-        useful = [(r.src, d) for r in records for d in r.dests]
-    else:
-        measured = stats.clean_measured()
-        clean = len(measured)
-        latencies = [r.latency for r in measured]
-        useful = None
-
-    report = price_fault_run(
-        stats,
-        fstats,
-        sim.topology,
-        protection,
-        size_flits=config.size_flits,
-        datapath=config.datapath,
-        n_cycles=sim.cycle,
-        useful_deliveries=useful,
-        links=sim.links,
-        coupling=config.coupling,
-    )
-    counts = fstats.per_link_error_counts()
-    tokens = sorted(counts)
-    errors = [counts[t][0] for t in tokens]
-    transmitted = [max(counts[t][1], 1) for t in tokens]
-    bounds = ber_upper_bound_many(errors, transmitted)
-    return FaultPointResult(
-        ber=ber,
-        protocol=protocol,
-        delivered=stats.delivered_count,
-        clean_delivered=clean,
-        corrupted_delivered=stats.corrupted_deliveries,
-        goodput=clean / (window * n_nodes),
-        avg_latency=(
-            sum(latencies) / len(latencies) if latencies else float("nan")
-        ),
-        effective_fj_per_bit_mm=report.effective_fj_per_bit_mm,
-        overhead_fraction=report.overhead_fraction,
-        raw_faults=fstats.raw_faults,
-        retransmissions=fstats.retransmissions,
-        crc_giveups=fstats.crc_giveups,
-        flits_dropped=fstats.flits_dropped,
-        links_disabled=fstats.links_disabled,
-        undeliverable_packets=fstats.undeliverable_packets,
-        packet_retries=fstats.packet_retries,
-        completed_transfers=fstats.completed_transfers,
-        failed_transfers=fstats.failed_transfers,
-        per_link_errors=tuple(
-            (t, counts[t][0], counts[t][1]) for t in tokens
-        ),
-        per_link_ber_bounds=tuple(float(b) for b in bounds),
-        livelocked=livelocked,
-    )
+        counts = fstats.per_link_error_counts()
+        tokens = sorted(counts)
+        errors = [counts[t][0] for t in tokens]
+        transmitted = [max(counts[t][1], 1) for t in tokens]
+        bounds = ber_upper_bound_many(errors, transmitted)
+        return FaultPointResult(
+            ber=ber,
+            protocol=protocol,
+            delivered=stats.delivered_count,
+            clean_delivered=clean,
+            corrupted_delivered=stats.corrupted_deliveries,
+            goodput=clean / (window * n_nodes),
+            avg_latency=(
+                sum(latencies) / len(latencies) if latencies else float("nan")
+            ),
+            effective_fj_per_bit_mm=report.effective_fj_per_bit_mm,
+            overhead_fraction=report.overhead_fraction,
+            raw_faults=fstats.raw_faults,
+            retransmissions=fstats.retransmissions,
+            crc_giveups=fstats.crc_giveups,
+            flits_dropped=fstats.flits_dropped,
+            links_disabled=fstats.links_disabled,
+            undeliverable_packets=fstats.undeliverable_packets,
+            packet_retries=fstats.packet_retries,
+            completed_transfers=fstats.completed_transfers,
+            failed_transfers=fstats.failed_transfers,
+            per_link_errors=tuple(
+                (t, counts[t][0], counts[t][1]) for t in tokens
+            ),
+            per_link_ber_bounds=tuple(float(b) for b in bounds),
+            livelocked=livelocked,
+        )
+    finally:
+        # Break the layer's back-references once the result is built,
+        # so refcounting alone frees this point's simulator.
+        layer.detach()
 
 
 def config_identity(config: dict) -> dict:

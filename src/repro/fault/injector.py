@@ -483,6 +483,29 @@ class FaultLayer:
         sim.fault_layer = self
         return self
 
+    def detach(self) -> None:
+        """Unwire this layer from its simulator after a finished run.
+
+        Breaks every back-reference :meth:`attach` made (simulator,
+        routers, links and the e2e tracker's ``reinject`` all point back
+        here), so reference counting alone frees the simulator, the
+        layer and every channel once the caller drops them; no cyclic
+        garbage is left for the collector.  ``stats`` stays readable.
+        """
+        sim = self.sim
+        if sim is None:
+            return
+        for link in sim.links:
+            link.channel = None
+        for router in sim.routers.values():
+            router.fault_layer = None
+            router.route_fn = None
+        for channel in self.channels.values():
+            channel.layer = None
+        sim.fault_layer = None
+        self.sim = None
+        self.tracker = None
+
     def _reinject(self, packet: Packet) -> None:
         assert self.sim is not None
         self.sim.nics[packet.src].offer(packet)

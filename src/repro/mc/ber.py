@@ -23,8 +23,10 @@ from repro.circuit.prbs import PrbsGenerator
 def ber_upper_bound(errors: int, transmitted: int, confidence: float = 0.95) -> float:
     """Clopper-Pearson upper confidence bound on the bit error rate.
 
-    With zero observed errors this reduces to the familiar
-    ``-ln(1-confidence)/n`` rule (~3/n at 95%).
+    The ``confidence`` quantile of Beta(errors + 1, transmitted -
+    errors): the inverse regularized incomplete beta function
+    ``scipy.special.betaincinv``.  With zero observed errors this
+    reduces to the familiar ``-ln(1-confidence)/n`` rule (~3/n at 95%).
     """
     if transmitted <= 0:
         raise ConfigurationError(f"transmitted must be positive, got {transmitted}")
@@ -34,9 +36,9 @@ def ber_upper_bound(errors: int, transmitted: int, confidence: float = 0.95) -> 
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     if errors == transmitted:
         return 1.0
-    from scipy import stats
+    from scipy.special import betaincinv
 
-    return float(stats.beta.ppf(confidence, errors + 1, transmitted - errors))
+    return float(betaincinv(errors + 1, transmitted - errors, confidence))
 
 
 def ber_upper_bound_many(
@@ -46,10 +48,10 @@ def ber_upper_bound_many(
 ) -> np.ndarray:
     """Vectorized :func:`ber_upper_bound` over arrays of (errors, transmitted).
 
-    One ``scipy.stats.beta.ppf`` call bounds every link of a fault
-    campaign at once instead of one Python-level call per link; the
-    results match the scalar function exactly (same special case for
-    ``errors == transmitted``).
+    One ``scipy.special.betaincinv`` call (the Beta quantile) bounds
+    every link of a fault campaign at once instead of one Python-level
+    call per link; the results match the scalar function exactly (same
+    special case for ``errors == transmitted``).
     """
     errors = np.asarray(errors, dtype=np.int64)
     transmitted = np.asarray(transmitted, dtype=np.int64)
@@ -66,16 +68,17 @@ def ber_upper_bound_many(
         raise ConfigurationError("transmitted must be positive")
     if np.any(errors < 0) or np.any(errors > transmitted):
         raise ConfigurationError("errors must lie in [0, transmitted]")
-    # Imported here, not at module level: scipy.stats costs ~1 s and
-    # ~70 MB per process, and most campaigns never bound a BER.
-    from scipy import stats
+    # The special-function ufunc, not scipy's distribution module: the
+    # same doubles without ~0.9 s and ~46 MB more of imports in every
+    # process, and every fault campaign point bounds its links' BERs.
+    from scipy.special import betaincinv
 
     saturated = errors == transmitted
-    # Neutral arguments where saturated keep beta.ppf finite; the result
-    # there is overwritten with the exact value 1.0.
+    # Neutral arguments where saturated keep the quantile finite; the
+    # result there is overwritten with the exact value 1.0.
     a = np.where(saturated, 1, errors + 1).astype(np.float64)
     b = np.where(saturated, 1, transmitted - errors).astype(np.float64)
-    bounds = stats.beta.ppf(confidence, a, b)
+    bounds = betaincinv(a, b, confidence)
     return np.where(saturated, 1.0, bounds)
 
 

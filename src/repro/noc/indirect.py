@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.energy.baselines import kim2010
 from repro.energy.link_energy import srlr_link_energy
-from repro.units import FJ, MM
+from repro.units import FJ
 
 
 @dataclass(frozen=True)

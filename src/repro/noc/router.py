@@ -24,7 +24,7 @@ local deliveries before any buffering or switching cost is paid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.noc.crossbar import Crossbar

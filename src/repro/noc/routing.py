@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.errors import RoutingError
 from repro.noc.packet import Flit
-from repro.noc.topology import MeshTopology, NodeId, Port, Topology
+from repro.noc.topology import NodeId, Port, Topology
 
 
 def xy_route(current: NodeId, dest: NodeId) -> Port:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LivelockError, ProtocolError
+from repro.errors import ConfigurationError, LivelockError
 from repro.noc.link import Link, LinkEnd
 from repro.noc.packet import Flit, Packet
 from repro.noc.router import NocConfig, Router

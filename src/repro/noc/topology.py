@@ -37,6 +37,7 @@ table over the alive-link subset.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -71,17 +72,10 @@ NodeId = tuple[int, int]
 #: Builder names accepted by :func:`build_topology`.
 TOPOLOGY_KINDS = ("mesh", "cmesh", "torus", "chiplet")
 
-#: Per-instance memo for derived structures (adjacency, tables, BFS
-#: distances).  Keyed by the frozen topology value, so equal topologies
-#: share entries and the frozen dataclasses stay immutable.
-_MEMO: dict[tuple, object] = {}
-
-
-def _memo(key: tuple, build):
-    value = _MEMO.get(key)
-    if value is None:
-        value = _MEMO[key] = build()
-    return value
+#: Derived structures (adjacency, tables, BFS distances, route lengths)
+#: per topology value: equal topologies share one entry dict, and the
+#: frozen dataclasses stay immutable.
+_MEMO: dict["Topology", dict[str, object]] = {}
 
 
 class Topology:
@@ -102,6 +96,21 @@ class Topology:
     #: True when the endpoints are exactly the k x k router grid, which
     #: lets the traffic generator use its batched mesh hot path.
     grid_endpoints = True
+
+    # --- memo -----------------------------------------------------------------------
+
+    @functools.cached_property
+    def _memo_entries(self) -> dict[str, object]:
+        """This value's entry dict in :data:`_MEMO`, hashed once per
+        instance instead of once per lookup."""
+        return _MEMO.setdefault(self, {})
+
+    def _memo(self, name: str, build):
+        entries = self._memo_entries
+        value = entries.get(name)
+        if value is None:
+            value = entries[name] = build()
+        return value
 
     # --- structure ------------------------------------------------------------------
 
@@ -154,7 +163,7 @@ class Topology:
                 table[node] = tuple(entries)
             return table
 
-        return _memo(("adjacency", self), build)
+        return self._memo("adjacency", build)
 
     def hop_distance(self, a: NodeId, b: NodeId) -> int:
         """Minimal hops between two routers (BFS on the link graph)."""
@@ -177,7 +186,7 @@ class Topology:
         for n in (a, b):
             if not self.contains(n):
                 raise ConfigurationError(f"node {n} outside {self.kind} topology")
-        return _memo(("bfs", self), build)[a][b]
+        return self._memo("bfs", build)[a][b]
 
     @property
     def diameter(self) -> int:
@@ -189,7 +198,7 @@ class Topology:
                 self.hop_distance(a, b) for a in nodes for b in nodes
             )
 
-        return _memo(("diameter", self), build)
+        return self._memo("diameter", build)
 
     # --- endpoints (where traffic injects) --------------------------------------------
 
@@ -485,8 +494,8 @@ class TorusTopology(Topology):
         return OPPOSITE.get(in_port)
 
     def routing_table(self):
-        return _memo(
-            ("table", self),
+        return self._memo(
+            "table",
             lambda: updown_routing_table(self.nodes(), self._adjacency()),
         )
 
@@ -587,7 +596,7 @@ class ChipletNoc(Topology):
         return cores + interfaces
 
     def contains(self, node: NodeId) -> bool:
-        return node in _memo(("nodeset", self), lambda: set(self.nodes()))
+        return node in self._memo("nodeset", lambda: set(self.nodes()))
 
     def node_ports(self, node: NodeId) -> tuple:
         if self.is_interface(node) or node == self.gateway_node(
@@ -639,7 +648,7 @@ class ChipletNoc(Topology):
                 for node, entries in table.items()
             }
 
-        return _memo(("adjacency", self), build)
+        return self._memo("adjacency", build)
 
     def neighbor(self, node: NodeId, port) -> NodeId | None:
         if not self.contains(node):
@@ -661,8 +670,8 @@ class ChipletNoc(Topology):
     # --- routing ----------------------------------------------------------------------
 
     def routing_table(self):
-        return _memo(
-            ("table", self),
+        return self._memo(
+            "table",
             lambda: updown_routing_table(self.nodes(), self._adjacency()),
         )
 
@@ -683,7 +692,12 @@ class ChipletNoc(Topology):
         return 1.0
 
     def route_mm(self, src: NodeId, dest: NodeId) -> float:
-        """Length of the routed path, per-link scales included."""
+        """Length of the routed path, per-link scales included; each
+        (src, dest) pair is walked once per topology value."""
+        lengths = self._memo("route_mm", dict)
+        mm = lengths.get((src, dest))
+        if mm is not None:
+            return mm
         mm = 0.0
         node = src
         table = self.routing_table()[dest]
@@ -693,6 +707,7 @@ class ChipletNoc(Topology):
                 raise ConfigurationError(f"no route {src} -> {dest}")
             mm += self.link_scale(node, port)
             node = self.neighbor(node, port)
+        lengths[src, dest] = mm
         return mm
 
 

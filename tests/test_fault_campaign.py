@@ -3,6 +3,7 @@ report plumbing."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from repro.fault import (
     protection_crossover,
     run_fault_campaign,
 )
+from repro.fault.campaign import _evaluate_point
 from repro.fault.energy import price_fault_run
 from repro.fault.injector import FaultStats
 from repro.fault.protection import ProtectionConfig
@@ -357,3 +359,32 @@ def test_useful_bit_mm_resolves_each_route_once_and_sums_as_the_walk():
     assert report.clean_deliveries == len(deliveries)
     pairs = {pair for pair in deliveries if pair[0] is not None}
     assert sorted(walked) == sorted(pairs)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize(
+    "topology",
+    [dict(topology="mesh", k=3), dict(topology="chiplet", k=2, chiplets_x=2)],
+    ids=["mesh", "chiplet"],
+)
+def test_a_finished_point_leaves_no_cyclic_garbage(topology, engine):
+    """Once a point's result is built its fault layer is detached, so
+    reference counting alone frees the simulator, the layer and every
+    channel: with the collector off, nothing is left for it to find."""
+    config = FaultCampaignConfig(
+        **topology, engine=engine, injection_rate=0.06, warmup=20,
+        measure=80, bers=(1e-4, 5e-2),
+    )
+    tasks = config.tasks()
+    _evaluate_point(tasks[0])  # first-use imports and memos
+    gc.collect()
+    gc.disable()
+    try:
+        leftover = {}
+        for task in tasks:
+            _evaluate_point(task)
+            leftover[task[1:]] = gc.collect()
+    finally:
+        gc.enable()
+    assert len(leftover) == 8
+    assert leftover == dict.fromkeys(leftover, 0)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.mc import (
     ber_upper_bound,
+    ber_upper_bound_many,
     default_stress_pattern,
     design_variants,
     immunity_ratio,
@@ -191,6 +193,35 @@ def test_ber_upper_bound_validation():
     with pytest.raises(ConfigurationError):
         ber_upper_bound(0, 10, confidence=1.5)
     assert ber_upper_bound(10, 10) == 1.0
+
+
+def test_ber_bounds_equal_the_beta_quantile_bitwise():
+    # Oracle: the Clopper-Pearson bound is the confidence quantile of
+    # Beta(k + 1, n - k), which scipy.stats computes as beta.ppf.  Both
+    # bounds must return its doubles exactly, at k = 0, k = n - 1,
+    # n up to 2**53 - 1, and 1.0 where k = n.
+    from scipy import stats
+
+    rng = np.random.default_rng(33)
+    n_small = rng.integers(1, 10_000, size=300)
+    k_small = (rng.random(300) * n_small).astype(np.int64)
+    edges = [
+        (e, t)
+        for t in (1, 2, 3, 64, 10**6, 2**31, 10**12, 2**53 - 2, 2**53 - 1)
+        for e in sorted({0, min(1, t - 1), t // 3, max(t - 2, 0), t - 1})
+    ]
+    k = np.concatenate([k_small, [e for e, _ in edges]]).astype(np.int64)
+    n = np.concatenate([n_small, [t for _, t in edges]]).astype(np.int64)
+    saturated = [(n, n) for n in (1, 7, 2**53 - 1)]
+    for confidence in (0.5, 0.9, 0.95, 0.99, 0.999999):
+        expected = stats.beta.ppf(confidence, k + 1, n - k)
+        got = ber_upper_bound_many(k, n, confidence)
+        assert np.array_equal(got, expected)
+        for i in range(0, k.size, 7):
+            assert ber_upper_bound(int(k[i]), int(n[i]), confidence) == expected[i]
+        for ks, ns in saturated:
+            assert ber_upper_bound(ks, ns, confidence) == 1.0
+            assert ber_upper_bound_many([ks, 0], [ns, ns], confidence)[0] == 1.0
 
 
 def test_measure_ber_clean_link(robust_link):
